@@ -149,6 +149,15 @@ fn get_u64(fields: &[(String, Value)], name: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("`{name}` must be a non-negative integer"))
 }
 
+/// A host id field: a non-negative integer that fits in 32 bits. Larger
+/// values are rejected rather than truncated onto some other host.
+fn get_host(fields: &[(String, Value)], name: &str) -> Result<HostId, String> {
+    let raw = get_u64(fields, name)?;
+    u32::try_from(raw)
+        .map(HostId::new)
+        .map_err(|_| format!("`{name}` = {raw} is not a host id (at most {})", u32::MAX))
+}
+
 fn emit(out: &mut impl Write, line: &str) {
     // A broken pipe means the consumer went away; exit quietly like cat.
     if writeln!(out, "{line}").is_err() {
@@ -182,8 +191,8 @@ fn step(session: &mut StreamSession, line: &str, out: &mut impl Write) -> Result
         .ok_or("missing `cmd`")?;
     match cmd {
         "arrive" => {
-            let src = HostId::new(get_u64(fields, "src")? as u32);
-            let dst = HostId::new(get_u64(fields, "dst")? as u32);
+            let src = get_host(fields, "src")?;
+            let dst = get_host(fields, "dst")?;
             let bytes = get_u64(fields, "bytes")?;
             let token = get_u64(fields, "token")?;
             let at = match get(fields, "at_ns") {
@@ -293,4 +302,87 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A four-host cluster session with two flows queued.
+    fn session(sharing: SharingMode) -> StreamSession {
+        let topo = cluster_bordeplage(4, HostSpec::default());
+        let mut s = StreamSession::new(topo.platform, sharing);
+        let mut out = Vec::new();
+        for line in [
+            r#"{"cmd":"arrive","src":0,"dst":1,"bytes":200000,"token":1}"#,
+            r#"{"cmd":"arrive","src":2,"dst":1,"bytes":90000,"token":2,"at_ns":3000000}"#,
+        ] {
+            assert_eq!(step(&mut s, line, &mut out), Ok(true));
+        }
+        s
+    }
+
+    #[test]
+    fn host_ids_above_u32_max_are_rejected_not_truncated() {
+        let mut s = session(SharingMode::MaxMinFair);
+        let pending = s.pending();
+        let mut out = Vec::new();
+        for line in [
+            r#"{"cmd":"arrive","src":4294967297,"dst":1,"bytes":10,"token":9}"#,
+            r#"{"cmd":"arrive","src":0,"dst":4294967297,"bytes":10,"token":9}"#,
+        ] {
+            let err = step(&mut s, line, &mut out).unwrap_err();
+            assert!(err.contains("4294967297"), "{err}");
+        }
+        // u32::MAX is a well-formed id; the session refuses it as unknown.
+        let line = r#"{"cmd":"arrive","src":4294967295,"dst":1,"bytes":10,"token":9}"#;
+        assert!(step(&mut s, line, &mut out).is_err());
+        assert_eq!(s.pending(), pending, "no rejected arrival was queued");
+        assert!(out.is_empty(), "rejections print nothing themselves");
+    }
+
+    /// Valid lines of every command the property below mutates.
+    const VALID: &[&str] = &[
+        r#"{"cmd":"arrive","src":0,"dst":3,"bytes":125000,"token":7,"at_ns":4000000}"#,
+        r#"{"cmd":"advance","to_ns":5000000}"#,
+        r#"{"cmd":"quiesce"}"#,
+        r#"{"cmd":"stats"}"#,
+        r#"{"cmd":"quit"}"#,
+        r#"{"cmd":"arrive","src":1,"dst":2,"bytes":18446744073709551615,"token":8}"#,
+        r#"{"cmd":"arrive","src":1,"dst":2,"bytes":1,"token":9,"at_ns":18446744073709551615}"#,
+        r#"{"cmd":"advance","to_ns":18446744073709551615}"#,
+    ];
+
+    /// Replacement bytes: JSON structure, digits, signs, exponents and
+    /// letters that turn keywords into garbage.
+    const MUTANTS: &[u8] = b"0123456789-+.eE\"{}[],: nulftrx";
+
+    /// Every truncated prefix and every one-byte mutation of a valid line
+    /// (extreme integers included) either runs or is rejected with an
+    /// `Err`; none panics. The session carries state from case to case, so
+    /// mutants also meet a clock that has moved and flows in flight.
+    #[test]
+    fn malformed_lines_are_rejected_without_panicking() {
+        for (line, sharing) in VALID
+            .iter()
+            .flat_map(|line| [SharingMode::MaxMinFair, SharingMode::Bottleneck].map(|m| (line, m)))
+        {
+            let mut s = session(sharing);
+            let mut out = Vec::new();
+            for cut in 0..line.len() {
+                let _ = step(&mut s, &line[..cut], &mut out);
+            }
+            for i in 0..line.len() {
+                for &m in MUTANTS {
+                    let mut bytes = line.as_bytes().to_vec();
+                    bytes[i] = m;
+                    let text = std::str::from_utf8(&bytes).expect("ASCII stays UTF-8");
+                    let _ = step(&mut s, text, &mut out);
+                    out.clear();
+                }
+            }
+            // Drain whatever the mutants queued, extreme values included.
+            assert_eq!(step(&mut s, r#"{"cmd":"quiesce"}"#, &mut out), Ok(true));
+        }
+    }
 }

@@ -74,6 +74,12 @@ impl SimTime {
     pub fn saturating_add(self, d: SimDuration) -> SimTime {
         SimTime(self.0.saturating_add(d.0))
     }
+
+    /// Addition of a duration, or `None` past the largest representable
+    /// instant.
+    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
+        self.0.checked_add(d.0).map(SimTime)
+    }
 }
 
 impl SimDuration {
@@ -139,6 +145,11 @@ impl SimDuration {
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
+    }
+
+    /// Saturating addition.
+    pub fn saturating_add(self, other: SimDuration) -> SimDuration {
+        SimDuration(self.0.saturating_add(other.0))
     }
 
     /// Multiply by an integer factor.

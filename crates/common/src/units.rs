@@ -133,7 +133,9 @@ impl Bandwidth {
         if self.0 <= 0.0 {
             return SimDuration::MAX;
         }
-        SimDuration::from_secs_f64(size.bits() as f64 / self.0)
+        // Scale in floating point: `bits()` overflows above 2^61 bytes, and
+        // multiplying by 8 after the conversion rounds identically.
+        SimDuration::from_secs_f64(size.bytes() as f64 * 8.0 / self.0)
     }
 
     /// The smaller of two bandwidths (used to find a route's bottleneck).

@@ -198,7 +198,7 @@ impl Default for FairShareQueue {
 impl FairShareQueue {
     /// An empty queue. The bucket array and its occupancy bitmaps (~1 MB)
     /// are allocated lazily on the first [`FairShareQueue::set`]: a
-    /// `Network` owns one queue per fill task on top of its own — and
+    /// `Network` owns one queue per fill claimer on top of its own — and
     /// one even in `Bottleneck` mode, where no fill ever runs — so queues
     /// that never see an entry must cost nothing.
     pub(crate) fn new() -> Self {

@@ -306,10 +306,11 @@ pub struct MemoryFootprint {
     /// Warm-start bytes: the per-component persisted fill records (rounds,
     /// frozen lists, residual-capacity histories) plus the arrival log.
     pub warm_bytes: usize,
-    /// Worker-pool scratch bytes: the per-component fill-task scratch
-    /// (epoch-stamped capacity tables, fair-share queues, rate buffers)
-    /// plus the split-fill scratch — allocated once and reused across
-    /// flushes, so the million-flow RSS gate must see it.
+    /// Worker-pool scratch bytes: the per-claimer fill scratch
+    /// (epoch-stamped capacity tables, fair-share queues, rate buffers),
+    /// the per-component task lists and the split-fill scratch — allocated
+    /// once and reused across flushes, so the million-flow RSS gate must
+    /// see it.
     pub pool_bytes: usize,
     /// Live flows at measurement time (the divisor for bytes/flow).
     pub live_flows: usize,
@@ -390,11 +391,15 @@ struct Slot {
     state: Option<FlowState>,
 }
 
-/// Private scratch of one component fill: a copy of every epoch-stamped
-/// table the progressive fill writes, so a fill running on a pool worker
-/// touches no shared mutable network state. Tables are link-/slot-indexed
-/// like their `Network` counterparts and reused across flushes; nothing
-/// allocates after the first flush at a given scale.
+/// Private scratch of one fill *claimer* — the serial flush path, or one
+/// claimer of a pool dispatch: a copy of every epoch-stamped table the
+/// progressive fill writes, so a fill running on a pool worker touches no
+/// shared mutable network state. Tables are link-/slot-indexed like their
+/// `Network` counterparts and reused across fills and flushes; nothing
+/// allocates after the first flush at a given scale. A flush owns at most
+/// one scratch per claimer (one when serial, at most the pool budget when
+/// dispatched), never one per component, so its footprint does not grow
+/// with the number of dirty components.
 #[derive(Debug, Default)]
 struct FillScratch {
     /// Monotone fill epoch of this scratch (independent of the network's).
@@ -402,13 +407,19 @@ struct FillScratch {
     link_capacity: Vec<f64>,
     link_unfixed: Vec<u32>,
     link_epoch: Vec<u64>,
+    /// Record slot of each link seeded by the current fill (valid where
+    /// `link_epoch` carries the epoch).
+    link_slot: Vec<u32>,
     /// Links seeded by the current fill (deduplicated via `link_epoch`).
     touched_links: Vec<usize>,
-    /// This fill's private bottleneck-selection queue.
+    /// This claimer's private bottleneck-selection queue.
     queue: FairShareQueue,
     link_round: Vec<u64>,
     affected: Vec<usize>,
     fill_round: u64,
+    /// Participation stamp per slot: link incidence lists also hold
+    /// prefix-frozen flows, which the replay must never re-fix.
+    part: Vec<u64>,
     /// Epoch at which a slot's rate was fixed by this fill.
     flow_fixed: Vec<u64>,
     /// The rate this fill assigned per slot (valid where `flow_fixed`
@@ -417,20 +428,84 @@ struct FillScratch {
 }
 
 impl FillScratch {
+    /// Grow the link- and slot-indexed tables to the network's size.
+    fn ensure(&mut self, link_count: usize, slot_count: usize) {
+        if self.link_capacity.len() < link_count {
+            self.link_capacity.resize(link_count, 0.0);
+            self.link_unfixed.resize(link_count, 0);
+            self.link_epoch.resize(link_count, 0);
+            self.link_slot.resize(link_count, 0);
+            self.link_round.resize(link_count, 0);
+        }
+        if self.flow_fixed.len() < slot_count {
+            self.part.resize(slot_count, 0);
+            self.flow_fixed.resize(slot_count, 0);
+            self.flow_rate.resize(slot_count, 0.0);
+        }
+    }
+
     /// Heap bytes held by this scratch, for
-    /// [`MemoryFootprint::pool_bytes`] — per-worker state that persists
+    /// [`MemoryFootprint::pool_bytes`] — per-claimer state that persists
     /// across flushes and would otherwise escape the RSS gate.
     fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.link_capacity.capacity() * size_of::<f64>()
             + self.link_unfixed.capacity() * size_of::<u32>()
             + self.link_epoch.capacity() * size_of::<u64>()
+            + self.link_slot.capacity() * size_of::<u32>()
             + self.touched_links.capacity() * size_of::<usize>()
             + self.queue.heap_bytes()
             + self.link_round.capacity() * size_of::<u64>()
             + self.affected.capacity() * size_of::<usize>()
+            + self.part.capacity() * size_of::<u64>()
             + self.flow_fixed.capacity() * size_of::<u64>()
             + self.flow_rate.capacity() * size_of::<f64>()
+    }
+}
+
+/// The link → record-slot map of one warm flush: for every link of every
+/// record resumed by the flush, its position in that record's `links`.
+/// Loaded once per warm task in the serial pre-pass (the resume-level
+/// computation keys on it) and read by the fills. One generation covers the
+/// whole flush: the flush's records belong to distinct components, and
+/// components partition the links, so no two records share an entry.
+#[derive(Debug, Default)]
+struct RecordSlots {
+    gen: u64,
+    slot: Vec<u32>,
+    epoch: Vec<u64>,
+}
+
+impl RecordSlots {
+    /// Start a flush: forget every entry loaded by earlier flushes.
+    fn begin(&mut self, link_count: usize) {
+        self.gen += 1;
+        if self.epoch.len() < link_count {
+            self.epoch.resize(link_count, 0);
+            self.slot.resize(link_count, 0);
+        }
+    }
+
+    /// Register every link of `rec`.
+    fn load(&mut self, rec: &FillRecord) {
+        for (s, &l) in rec.links.iter().enumerate() {
+            debug_assert_ne!(
+                self.epoch[l as usize], self.gen,
+                "records of distinct components share no link"
+            );
+            self.epoch[l as usize] = self.gen;
+            self.slot[l as usize] = s as u32;
+        }
+    }
+
+    /// Record slot of `link`, if the flush loaded a record holding it.
+    fn get(&self, link: usize) -> Option<usize> {
+        (self.epoch[link] == self.gen).then(|| self.slot[link] as usize)
+    }
+
+    fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.slot.capacity() * size_of::<u32>() + self.epoch.capacity() * size_of::<u64>()
     }
 }
 
@@ -539,10 +614,12 @@ impl FillRecord {
 }
 
 /// One component fill of a warm-start flush: a dirty root, its record (cold
-/// fills start from a fresh one), the resume level, and the participant
-/// flows (recorded suffix survivors plus arrivals since the record — for a
-/// cold fill, the whole gathered component). Results land in private
-/// scratch so tasks can run on worker threads; each task is exactly one
+/// fills start from a fresh one), the resume level, the participant flows
+/// (recorded suffix survivors plus arrivals since the record — for a cold
+/// fill, the whole gathered component) and, once the fill ran, their rates.
+/// A task owns no fill tables: it runs on the [`FillScratch`] of whichever
+/// claimer executes it, so tasks can run on worker threads while the
+/// flush's scratch stays one per claimer. Each task is exactly one
 /// component, because the record describes one.
 #[derive(Debug, Default)]
 struct WarmTask {
@@ -557,55 +634,22 @@ struct WarmTask {
     /// Participant slot indices (suffix survivors + arrivals, any order —
     /// the fill is order-independent).
     flows: Vec<u32>,
+    /// The rate the fill assigned to each participant, parallel to `flows`.
+    rates: Vec<f64>,
     /// Whether this flush resumed from a prior record. A warm task's
     /// participant list must be completed from the arrival log (the record
     /// cannot know about flows that arrived after it was made); a cold
     /// task's gathered list already holds every attached live flow.
     warm: bool,
-    /// Private fill scratch.
-    scratch: FillScratch,
-    /// Participation stamp per slot: link incidence lists also hold
-    /// prefix-frozen flows, which the replay must never re-fix.
-    part: Vec<u64>,
-    /// Link → record-slot map (epoch-stamped, rebuilt per flush).
-    slot_map: Vec<u32>,
-    slot_epoch: Vec<u64>,
-    map_gen: u64,
 }
 
 impl WarmTask {
-    /// Heap bytes held by this task's persistent scratch (the record is
-    /// accounted under `warm_bytes` — it lives in `warm_records` between
-    /// flushes), for [`MemoryFootprint::pool_bytes`].
+    /// Heap bytes held by this task's participant and rate lists (the
+    /// record is accounted under `warm_bytes` — it lives in `warm_records`
+    /// between flushes), for [`MemoryFootprint::pool_bytes`].
     fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
-        self.flows.capacity() * size_of::<u32>()
-            + self.scratch.heap_bytes()
-            + self.part.capacity() * size_of::<u64>()
-            + self.slot_map.capacity() * size_of::<u32>()
-            + self.slot_epoch.capacity() * size_of::<u64>()
-    }
-
-    /// Load the link→record-slot map from the record currently in the task
-    /// (serial pre-pass; the resume-level computation and the replay both
-    /// key on it).
-    fn load_map(&mut self, link_count: usize) {
-        self.map_gen += 1;
-        if self.slot_epoch.len() < link_count {
-            self.slot_epoch.resize(link_count, 0);
-            self.slot_map.resize(link_count, 0);
-        }
-        let rec = self.rec.take().expect("task holds its record");
-        for (s, &l) in rec.links.iter().enumerate() {
-            self.slot_epoch[l as usize] = self.map_gen;
-            self.slot_map[l as usize] = s as u32;
-        }
-        self.rec = Some(rec);
-    }
-
-    /// Record slot of `link`, if the record has seen it.
-    fn slot_of(&self, link: usize) -> Option<usize> {
-        (self.slot_epoch[link] == self.map_gen).then(|| self.slot_map[link] as usize)
+        self.flows.capacity() * size_of::<u32>() + self.rates.capacity() * size_of::<f64>()
     }
 
     /// Resume progressive filling from `k_star`: truncate the record's
@@ -626,9 +670,11 @@ impl WarmTask {
     /// workers, bit-identically to the serial loop.
     fn run(
         &mut self,
+        s: &mut FillScratch,
         slots: &[Slot],
         link_flows: &[Vec<u32>],
         links: &[crate::platform::Link],
+        rec_slots: &RecordSlots,
         mut split: Option<&mut SplitCtx<'_>>,
     ) {
         let mut rec = self.rec.take().expect("task holds its record");
@@ -663,26 +709,7 @@ impl WarmTask {
         // bit-exact); links the record has never seen carried no flow when
         // it was made — no prefix round touched them — so they enter at
         // full capacity and are registered on the spot.
-        let map_gen = self.map_gen;
-        let (s, part, slot_map, slot_epoch) = (
-            &mut self.scratch,
-            &mut self.part,
-            &mut self.slot_map,
-            &mut self.slot_epoch,
-        );
-        if s.link_capacity.len() < links.len() {
-            s.link_capacity.resize(links.len(), 0.0);
-            s.link_unfixed.resize(links.len(), 0);
-            s.link_epoch.resize(links.len(), 0);
-            s.link_round.resize(links.len(), 0);
-        }
-        if s.flow_fixed.len() < slots.len() {
-            s.flow_fixed.resize(slots.len(), 0);
-            s.flow_rate.resize(slots.len(), 0.0);
-        }
-        if part.len() < slots.len() {
-            part.resize(slots.len(), 0);
-        }
+        s.ensure(links.len(), slots.len());
         s.epoch += 1;
         let epoch = s.epoch;
         s.touched_links.clear();
@@ -690,27 +717,23 @@ impl WarmTask {
         for &slot_idx in &self.flows {
             let si = slot_idx as usize;
             let f = slots[si].state.as_ref().expect("participants are live");
-            part[si] = epoch;
+            s.part[si] = epoch;
             s.flow_fixed[si] = 0;
             s.flow_rate[si] = 0.0;
             unfixed_flows += 1;
             for &l in &f.route.links {
                 if s.link_epoch[l] != epoch {
                     s.link_epoch[l] = epoch;
-                    s.link_capacity[l] = if slot_epoch[l] == map_gen {
-                        let rs = slot_map[l] as usize;
-                        rec.hist[rs].last().expect("hist keeps its seed entry").1
-                    } else {
+                    let rs = rec_slots.get(l).unwrap_or_else(|| {
                         let full = links[l].bandwidth.bytes_per_sec();
-                        let rs = rec.links.len() as u32;
                         rec.links.push(l as u32);
                         rec.seed_unfixed.push(link_flows[l].len() as u32);
                         rec.pop_round.push(NO_ROUND);
                         rec.hist.push(vec![(0, full)]);
-                        slot_epoch[l] = map_gen;
-                        slot_map[l] = rs;
-                        full
-                    };
+                        rec.links.len() - 1
+                    });
+                    s.link_capacity[l] = rec.hist[rs].last().expect("hist keeps its seed entry").1;
+                    s.link_slot[l] = rs as u32;
                     s.link_unfixed[l] = 0;
                     s.touched_links.push(l);
                 }
@@ -740,8 +763,7 @@ impl WarmTask {
                     ctx.workers.push(SplitScratch::default());
                 }
                 {
-                    let flow_fixed = &s.flow_fixed;
-                    let part_ro: &[u64] = part;
+                    let (part, flow_fixed) = (&s.part, &s.flow_fixed);
                     split_scan(
                         ctx.pool,
                         &mut ctx.workers[..budget],
@@ -749,7 +771,7 @@ impl WarmTask {
                         split_chunk(link_flows[bottleneck].len(), budget),
                         links.len(),
                         slots,
-                        |si| part_ro[si] == epoch && flow_fixed[si] != epoch,
+                        |si| part[si] == epoch && flow_fixed[si] != epoch,
                     );
                 }
                 split_collect_segs(ctx.workers, budget, ctx.segs);
@@ -794,7 +816,7 @@ impl WarmTask {
             } else {
                 for &slot_idx in &link_flows[bottleneck] {
                     let si = slot_idx as usize;
-                    if part[si] != epoch || s.flow_fixed[si] == epoch {
+                    if s.part[si] != epoch || s.flow_fixed[si] == epoch {
                         continue;
                     }
                     s.flow_fixed[si] = epoch;
@@ -820,10 +842,10 @@ impl WarmTask {
                 frozen_end: rec.frozen.len() as u32,
             });
             debug_assert_eq!(
-                slot_epoch[bottleneck], map_gen,
+                s.link_epoch[bottleneck], epoch,
                 "popped links were seeded, hence registered"
             );
-            let bs = slot_map[bottleneck] as usize;
+            let bs = s.link_slot[bottleneck] as usize;
             debug_assert_eq!(
                 rec.pop_round[bs], NO_ROUND,
                 "links that popped in the kept prefix carry no replay flows"
@@ -832,10 +854,10 @@ impl WarmTask {
             for i in 0..s.affected.len() {
                 let l = s.affected[i];
                 debug_assert_eq!(
-                    slot_epoch[l], map_gen,
+                    s.link_epoch[l], epoch,
                     "affected links were seeded, hence registered"
                 );
-                let rs = slot_map[l] as usize;
+                let rs = s.link_slot[l] as usize;
                 rec.hist[rs].push((round_idx + 1, s.link_capacity[l]));
                 if l == bottleneck {
                     continue;
@@ -849,6 +871,9 @@ impl WarmTask {
             }
         }
         s.queue.clear();
+        self.rates.clear();
+        self.rates
+            .extend(self.flows.iter().map(|&si| s.flow_rate[si as usize]));
         self.rec = Some(rec);
     }
 }
@@ -866,6 +891,44 @@ struct SplitCtx<'a> {
     /// Minimum bottleneck incidence-list length for a round to be split.
     split_min: usize,
     steals: &'a mut u64,
+}
+
+/// Pair each claimer scratch with a contiguous group of `tasks`, cutting
+/// the groups so each carries about an equal share of the participants
+/// (`total` across all tasks; each task also weighs one, so empty tasks
+/// still spread). Every group holds at least one task, so `tasks` must be
+/// at least as long as `scratch`. Grouping only decides where fills run:
+/// each fill is a pure function of its component, whatever scratch it uses.
+fn claimer_groups<'a>(
+    scratch: &'a mut [FillScratch],
+    mut tasks: &'a mut [WarmTask],
+    total: usize,
+) -> Vec<(&'a mut FillScratch, &'a mut [WarmTask])> {
+    let claimers = scratch.len();
+    debug_assert!(claimers >= 1 && tasks.len() >= claimers);
+    let weight = total + tasks.len();
+    let mut groups = Vec::with_capacity(claimers);
+    let mut acc = 0usize;
+    for (g, s) in scratch.iter_mut().enumerate() {
+        let later = claimers - g - 1;
+        let len = if later == 0 {
+            tasks.len()
+        } else {
+            // Cut once the running weight reaches this group's share, but
+            // leave at least one task for each later claimer.
+            let target = weight * (g + 1) / claimers;
+            let mut len = 0;
+            while len < tasks.len() - later && (len == 0 || acc < target) {
+                acc += tasks[len].flows.len() + 1;
+                len += 1;
+            }
+            len
+        };
+        let (group, rest) = std::mem::take(&mut tasks).split_at_mut(len);
+        groups.push((s, group));
+        tasks = rest;
+    }
+    groups
 }
 
 /// Chunk size of a split round: a pure function of the incidence-list
@@ -1022,8 +1085,14 @@ pub struct Network {
     /// the very flush that consumes the log.
     warm_arrivals: Vec<FlowId>,
     /// Per-component fill tasks (reused across flushes; grown to the
-    /// dirty-root count on demand).
+    /// dirty-root count on demand). They hold participant and rate lists
+    /// only — the fill tables live in `fill_scratch`.
     warm_tasks: Vec<WarmTask>,
+    /// Per-claimer fill scratch: entry 0 serves serial flushes, a pool
+    /// dispatch uses one entry per claimer (at most the pool budget).
+    fill_scratch: Vec<FillScratch>,
+    /// The current warm flush's link → record-slot map.
+    rec_slots: RecordSlots,
     /// Scratch: `(task index, link)` pairs grouping this flush's dirty
     /// links by dirty root, for the resume-level computation.
     warm_dirty: Vec<(u32, u32)>,
@@ -1095,6 +1164,8 @@ impl Network {
             },
             warm_arrivals: Vec::new(),
             warm_tasks: Vec::new(),
+            fill_scratch: Vec::new(),
+            rec_slots: RecordSlots::default(),
             warm_dirty: Vec::new(),
             rebalance_pending: false,
             compaction: CompactionPolicy::default(),
@@ -1344,19 +1415,19 @@ impl Network {
                 // time. The version field is meaningless here (nothing ever
                 // invalidates the event), so it stays at zero.
                 let total = route.analytic_transfer_time(size);
-                sched.schedule_in(
+                schedule_in_range(
+                    sched,
                     total,
                     NetEvent::FlowCompletion {
                         flow: id,
                         version: 0,
-                    }
-                    .into(),
+                    },
                 );
             }
             SharingMode::MaxMinFair => {
                 // The flow starts competing for bandwidth after the route
                 // latency (pipe-fill delay).
-                sched.schedule_in(route.latency, NetEvent::FlowActivate { flow: id }.into());
+                schedule_in_range(sched, route.latency, NetEvent::FlowActivate { flow: id });
             }
         }
         id
@@ -1497,8 +1568,8 @@ impl Network {
             }
             let eta = drain_eta(f.remaining, f.rate);
             if eta > SimDuration::ZERO {
-                f.pending_completion = true;
-                sched.schedule_at(now + eta, NetEvent::FlowCompletion { flow, version }.into());
+                f.pending_completion =
+                    schedule_in_range(sched, eta, NetEvent::FlowCompletion { flow, version });
                 return vec![];
             }
         }
@@ -1580,9 +1651,14 @@ impl Network {
 
     fn finish_flow(&mut self, state: FlowState) -> FlowDelivery {
         self.stats.flows_completed += 1;
-        self.stats.bytes_delivered += state.size.bytes();
+        // Byte totals saturate: a few flows near `u64::MAX` bytes (accepted
+        // input, however absurd) must not overflow the telemetry.
+        self.stats.bytes_delivered = self
+            .stats
+            .bytes_delivered
+            .saturating_add(state.size.bytes());
         for &l in &state.route.links {
-            self.stats.link_bytes[l] += state.size.bytes();
+            self.stats.link_bytes[l] = self.stats.link_bytes[l].saturating_add(state.size.bytes());
         }
         FlowDelivery {
             flow: state.id,
@@ -1652,8 +1728,7 @@ impl Network {
             flow: f.id,
             version: f.version,
         };
-        f.pending_completion = true;
-        sched.schedule_at(now + eta, event.into());
+        f.pending_completion = schedule_in_range(sched, eta, event);
     }
 
     /// Dirty-component–limited progressive filling: resolve the components
@@ -1814,7 +1889,9 @@ impl Network {
                 .expect("dirty roots cover every dirty link");
             self.warm_dirty.push((t as u32, l as u32));
         }
-        let link_count = self.link_flows.len();
+        // One map generation covers every record of the flush (they belong
+        // to distinct components, so their links are disjoint).
+        self.rec_slots.begin(self.link_flows.len());
         let mut total = 0usize;
         for t in 0..n_tasks {
             let root = self.dirty_roots[t];
@@ -1852,10 +1929,6 @@ impl Network {
                     key,
                     ..FillRecord::default()
                 }));
-                // The fresh record has no slots; loading it still bumps the
-                // map generation (stale entries from an earlier flush must
-                // not alias) and sizes the map arrays.
-                task.load_map(link_count);
                 task.k_star = 0;
             } else {
                 task.warm = true;
@@ -1875,8 +1948,8 @@ impl Network {
                     self.comp_raw.truncate(start);
                 }
                 task.rec = self.warm_records[root].take();
-                task.load_map(link_count);
                 let rec = task.rec.as_ref().expect("warm tasks hold records");
+                self.rec_slots.load(rec);
                 let mut k = rec.rounds.len();
                 for wi in 0..self.warm_dirty.len() {
                     let (ti, l) = self.warm_dirty[wi];
@@ -1885,7 +1958,7 @@ impl Network {
                     }
                     let l = l as usize;
                     let n_new = self.link_flows[l].len() as u32;
-                    if let Some(rs) = task.slot_of(l) {
+                    if let Some(rs) = self.rec_slots.get(l) {
                         if rec.pop_round[rs] != NO_ROUND {
                             k = k.min(rec.pop_round[rs] as usize);
                         }
@@ -1977,6 +2050,15 @@ impl Network {
         // must not dispatch to the pool it is running on.)
         let parallel =
             self.pool.is_some() && n_tasks >= 2 && total >= self.config.parallel_threshold.max(1);
+        // Fill scratch is per claimer: one for a serial flush, one per
+        // claimer (at most the budget) for a pool dispatch.
+        let claimers = match &self.pool {
+            Some(pool) if parallel => n_tasks.min(pool.budget()),
+            _ => 1,
+        };
+        while self.fill_scratch.len() < claimers {
+            self.fill_scratch.push(FillScratch::default());
+        }
         let mut tasks = std::mem::take(&mut self.warm_tasks);
         let mut pool = self.pool.take();
         let mut split_workers = std::mem::take(&mut self.split_workers);
@@ -1986,10 +2068,20 @@ impl Network {
             let slots = &self.slots;
             let link_flows = &self.link_flows;
             let links = self.platform.links();
+            let rec_slots = &self.rec_slots;
             if parallel {
+                // Each claimer gets its own scratch and a contiguous group
+                // of tasks, balanced by participant count.
                 let pool = pool.as_mut().expect("parallel warm flushes have a pool");
-                pool.for_each_mut(&mut tasks[..n_tasks], |task| {
-                    task.run(slots, link_flows, links, None)
+                let mut groups = claimer_groups(
+                    &mut self.fill_scratch[..claimers],
+                    &mut tasks[..n_tasks],
+                    total,
+                );
+                pool.for_each_mut(&mut groups, |(s, group)| {
+                    for task in group.iter_mut() {
+                        task.run(s, slots, link_flows, links, rec_slots, None);
+                    }
                 });
             } else {
                 let split_min = self.config.resolved_split_min();
@@ -2000,8 +2092,9 @@ impl Network {
                     split_min,
                     steals: &mut steals,
                 });
+                let s = &mut self.fill_scratch[0];
                 for task in &mut tasks[..n_tasks] {
-                    task.run(slots, link_flows, links, split.as_mut());
+                    task.run(s, slots, link_flows, links, rec_slots, split.as_mut());
                 }
             }
         }
@@ -2022,12 +2115,12 @@ impl Network {
             let task = &mut self.warm_tasks[t];
             let rec = task.rec.take().expect("the fill returns the record");
             self.warm_records[task.root as usize] = Some(rec);
-            for &slot_idx in &task.flows {
+            for (&slot_idx, &rate) in task.flows.iter().zip(&task.rates) {
                 let f = self.slots[slot_idx as usize]
                     .state
                     .as_mut()
                     .expect("participants are live");
-                f.new_rate = task.scratch.flow_rate[slot_idx as usize];
+                f.new_rate = rate;
                 f.comp_epoch = epoch;
                 self.comp_flows.push(slot_idx);
             }
@@ -2329,6 +2422,13 @@ impl Network {
                 .iter()
                 .map(WarmTask::heap_bytes)
                 .sum::<usize>()
+            + self.fill_scratch.capacity() * size_of::<FillScratch>()
+            + self
+                .fill_scratch
+                .iter()
+                .map(FillScratch::heap_bytes)
+                .sum::<usize>()
+            + self.rec_slots.heap_bytes()
             + self.split_workers.capacity() * size_of::<SplitScratch>()
             + self
                 .split_workers
@@ -2636,6 +2736,24 @@ pub(crate) fn drain_eta(remaining: f64, rate: f64) -> SimDuration {
         return SimDuration::from_nanos(u64::MAX / 4);
     }
     SimDuration::from_nanos(ns.ceil().max(0.0) as u64)
+}
+
+/// Schedule `event` at `delay` from now, unless that lies past the largest
+/// representable instant: such an event could never fire, so it is dropped
+/// and its flow stays in flight (like a starved one) instead of overflowing
+/// the clock. Returns whether the event was scheduled.
+fn schedule_in_range<E: From<NetEvent>>(
+    sched: &mut Scheduler<E>,
+    delay: SimDuration,
+    event: NetEvent,
+) -> bool {
+    match sched.now().checked_add(delay) {
+        Some(at) => {
+            sched.schedule_at(at, event.into());
+            true
+        }
+        None => false,
+    }
 }
 
 /// Advance one flow's `remaining` to `now` at its current rate.
@@ -3188,5 +3306,61 @@ mod tests {
         );
         run_world(&mut w, &mut sched, None);
         assert_eq!(w.net.memory_footprint().live_flows, 0);
+    }
+
+    /// A flow too large to drain within the clock's range never overflows
+    /// it: under max–min sharing its completion is never scheduled (it stays
+    /// in flight), and the analytic model saturates at `SimTime::MAX`.
+    #[test]
+    fn transfers_past_the_clock_range_do_not_overflow_it() {
+        let huge = DataSize::from_bytes(u64::MAX);
+        let mut w = dumbbell(SharingMode::MaxMinFair);
+        let mut sched = Scheduler::new();
+        w.net
+            .start_flow(&mut sched, HostId::new(0), HostId::new(1), huge, 0);
+        run_world(&mut w, &mut sched, None);
+        assert!(w.deliveries.is_empty());
+        assert_eq!(w.net.flows_in_flight(), 1);
+
+        let mut w = dumbbell(SharingMode::Bottleneck);
+        let mut sched = Scheduler::new();
+        w.net
+            .start_flow(&mut sched, HostId::new(0), HostId::new(1), huge, 0);
+        run_world(&mut w, &mut sched, None);
+        assert_eq!(w.deliveries.len(), 1);
+        assert_eq!(w.deliveries[0].0, SimTime::MAX);
+    }
+
+    #[test]
+    fn claimer_groups_cut_tasks_in_order_by_participant_weight() {
+        let sizes = [40usize, 1, 1, 1, 30, 2, 0, 5];
+        let mut tasks: Vec<WarmTask> = sizes
+            .iter()
+            .map(|&n| WarmTask {
+                flows: vec![0; n],
+                ..WarmTask::default()
+            })
+            .collect();
+        let total = sizes.iter().sum();
+        for claimers in 1..=tasks.len() {
+            let mut scratch: Vec<FillScratch> =
+                (0..claimers).map(|_| FillScratch::default()).collect();
+            let groups = claimer_groups(&mut scratch, &mut tasks, total);
+            assert_eq!(groups.len(), claimers);
+            assert!(groups.iter().all(|(_, g)| !g.is_empty()));
+            let order: Vec<usize> = groups
+                .iter()
+                .flat_map(|(_, g)| g.iter().map(|t| t.flows.len()))
+                .collect();
+            assert_eq!(order, sizes, "groups are contiguous and cover every task");
+        }
+        // Two claimers split the weight (participants + one per task, 88)
+        // at its midpoint: 45 | 43.
+        let mut scratch = vec![FillScratch::default(), FillScratch::default()];
+        let lens: Vec<usize> = claimer_groups(&mut scratch, &mut tasks, total)
+            .iter()
+            .map(|(_, g)| g.len())
+            .collect();
+        assert_eq!(lens, [3, 5]);
     }
 }

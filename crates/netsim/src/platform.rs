@@ -105,9 +105,11 @@ pub struct Route {
 
 impl Route {
     /// Transfer time of `size` under the analytic bottleneck model:
-    /// `Σ latency + size / bottleneck`.
+    /// `Σ latency + size / bottleneck`, saturating at [`SimDuration::MAX`]
+    /// (which `transfer_time` already returns for a zero bandwidth).
     pub fn analytic_transfer_time(&self, size: DataSize) -> SimDuration {
-        self.latency + self.bottleneck.transfer_time(size)
+        self.latency
+            .saturating_add(self.bottleneck.transfer_time(size))
     }
 }
 

@@ -12,7 +12,7 @@
 //! and a mid-run restore continues bit-identically.
 
 use netsim::event::{run_world, Scheduler, World};
-use netsim::network::{FlowDelivery, NetEvent, NetWorldEvent, Network, SharingMode};
+use netsim::network::{FlowDelivery, FlushStats, NetEvent, NetWorldEvent, Network, SharingMode};
 use netsim::platform::{HostSpec, LinkSpec, Platform, PlatformBuilder};
 use netsim::{EngineConfig, StreamSession};
 use p2p_common::{Bandwidth, DataSize, HostId, SimDuration, SimTime};
@@ -202,6 +202,74 @@ fn pool_scratch_is_accounted_in_the_footprint() {
         "split scratch must be accounted after stolen rounds: {fp:?}"
     );
     assert!(fp.total_bytes() >= fp.pool_bytes + fp.slab_bytes);
+}
+
+/// Background flows in tree 0 of the forest below (identical in both runs).
+const BACKGROUND: usize = 32;
+/// Flows of the measured arrival wave.
+const WAVE: usize = 60;
+const TREES: usize = 16;
+
+/// Pool scratch bytes and flush statistics right after a flush that fills one arrival wave of
+/// `WAVE` flows on a 16-tree DSLAM forest: spread over trees 1..16
+/// (fifteen dirty components) or confined to tree 1 (one). A background
+/// load parked in tree 0 beforehand keeps the wave below the dense-takeover
+/// cover, so the wave fills component by component at every worker budget.
+/// Every route crosses both DSLAMs of its tree, so each wave activates at
+/// one instant and lands in one flush.
+fn wave_pool_bytes(config: EngineConfig, spread: bool) -> (usize, FlushStats) {
+    let topo = netsim::dslam_forest(TREES, 16, HostSpec::default(), 7);
+    let pair = |tree: usize, i: usize| {
+        let hosts = topo.component_hosts(tree);
+        (hosts[i % 8], hosts[8 + (i * 3) % 8])
+    };
+    let mut s = StreamSession::with_config(topo.platform.clone(), SharingMode::MaxMinFair, config);
+    let big = DataSize::from_bytes(100_000_000);
+    for i in 0..BACKGROUND {
+        let (src, dst) = pair(0, i);
+        s.inject(SimTime::ZERO, src, dst, big, i as u64).unwrap();
+    }
+    let wave_at = SimTime::ZERO + SimDuration::from_millis(100);
+    for i in 0..WAVE {
+        let tree = if spread { 1 + i % (TREES - 1) } else { 1 };
+        let (src, dst) = pair(tree, i);
+        s.inject(wave_at, src, dst, big, (BACKGROUND + i) as u64)
+            .unwrap();
+    }
+    assert!(s.advance_to(wave_at + SimDuration::from_secs(1)).is_empty());
+    let stats = s.network().flush_stats();
+    assert_eq!(
+        (stats.flushes, stats.fast_flushes),
+        (2, 0),
+        "background and wave must each fill per component in one flush: {stats:?}"
+    );
+    (s.network().memory_footprint().pool_bytes, stats)
+}
+
+/// Fill scratch is sized by claimer, not by dirty component: a flush over
+/// fifteen components holds at most one scratch per pool claimer, so its
+/// pool bytes stay within twice those of a one-component flush of the same
+/// flows — serially and on a dispatching two-worker pool.
+#[test]
+fn fill_scratch_does_not_grow_with_dirty_components() {
+    for config in [
+        EngineConfig::default().workers(1),
+        EngineConfig::default().workers(2).parallel_threshold(0),
+    ] {
+        let (spread, stats) = wave_pool_bytes(config, true);
+        let (confined, _) = wave_pool_bytes(config, false);
+        assert_eq!(
+            stats.parallel_flushes,
+            u64::from(config.workers >= 2),
+            "only the pooled spread wave dispatches: {stats:?}"
+        );
+        assert!(
+            spread <= 2 * confined,
+            "{config:?}: spreading the wave over {} trees took {spread} pool bytes, \
+             confining it to one took {confined}",
+            TREES - 1
+        );
+    }
 }
 
 fn streamed(config: EngineConfig) -> StreamSession {
