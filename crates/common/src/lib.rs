@@ -18,10 +18,12 @@
 //!   experiment in the repository is reproducible bit-for-bit.
 //! * [`stats`] — online statistics and simple histograms used by benches and
 //!   the tracker statistics reports.
+//! * [`hash`] — a deterministic integer hasher for the simulator's hot maps.
 
 #![warn(missing_docs)]
 
 pub mod error;
+pub mod hash;
 pub mod ids;
 pub mod ip;
 pub mod resources;
@@ -31,6 +33,7 @@ pub mod time;
 pub mod units;
 
 pub use error::CommonError;
+pub use hash::{IdHasher, IdMap};
 pub use ids::{ChannelId, FlowId, HostId, NodeId, PeerId, ProcId, TaskId, TrackerId};
 pub use ip::IpAddr;
 pub use resources::{PeerResources, ResourceRequirements, UsageState};

@@ -372,10 +372,11 @@ struct FlowState {
     /// Position of this flow in `Network::active` (valid while active).
     active_pos: u32,
     /// For each hop `i` of `route.links`, this flow's position inside
-    /// `Network::link_flows[route.links[i]]` (valid while active). A boxed
-    /// slice, not a `Vec`: the hop count is fixed at creation, so the
-    /// exact-fit allocation drops the capacity word and any growth slack
-    /// from the per-flow footprint.
+    /// `Network::link_flows[route.links[i]]`. Empty iff the flow is not
+    /// attached to the incidence lists: it is allocated when a max–min flow
+    /// activates, so a `Bottleneck` flow (never attached) allocates none. A
+    /// boxed slice, not a `Vec`: the exact-fit allocation drops the capacity
+    /// word and any growth slack from the per-flow footprint.
     link_pos: Box<[u32]>,
     /// Scratch: epoch at which this flow's rate was fixed by the filling.
     fixed_epoch: u64,
@@ -1319,6 +1320,14 @@ impl Network {
         self.live_flows
     }
 
+    /// The caller tokens of the flows in flight, in slot order.
+    pub(crate) fn flow_tokens(&self) -> impl Iterator<Item = u64> + '_ {
+        self.slots
+            .iter()
+            .filter_map(|s| s.state.as_ref())
+            .map(|f| f.token)
+    }
+
     /// Resolve a flow id against the slab (generation-checked).
     fn flow(&self, id: FlowId) -> Option<&FlowState> {
         let slot = self.slots.get(id.slot() as usize)?;
@@ -1388,14 +1397,28 @@ impl Network {
         };
         let generation = self.slots[slot_idx as usize].generation;
         let id = FlowId::from_parts(slot_idx, generation);
-        let hops = route.links.len();
-        let state = FlowState {
+        let (delay, event) = match self.mode {
+            // No interaction between flows: one event at the analytic time.
+            // The version field is meaningless here (nothing ever
+            // invalidates the event), so it stays at zero.
+            SharingMode::Bottleneck => (
+                route.analytic_transfer_time(size),
+                NetEvent::FlowCompletion {
+                    flow: id,
+                    version: 0,
+                },
+            ),
+            // The flow starts competing for bandwidth after the route
+            // latency (pipe-fill delay).
+            SharingMode::MaxMinFair => (route.latency, NetEvent::FlowActivate { flow: id }),
+        };
+        self.slots[slot_idx as usize].state = Some(FlowState {
             id,
             src,
             dst,
             token,
             size,
-            route: Arc::clone(&route),
+            route,
             remaining: size.bytes() as f64,
             rate: 0.0,
             last_progress: now,
@@ -1403,33 +1426,12 @@ impl Network {
             version: 0,
             pending_completion: false,
             active_pos: 0,
-            link_pos: vec![0u32; hops].into_boxed_slice(),
+            link_pos: Box::default(),
             fixed_epoch: 0,
             comp_epoch: 0,
             new_rate: 0.0,
-        };
-        self.slots[slot_idx as usize].state = Some(state);
-        match self.mode {
-            SharingMode::Bottleneck => {
-                // No interaction between flows: one event at the analytic
-                // time. The version field is meaningless here (nothing ever
-                // invalidates the event), so it stays at zero.
-                let total = route.analytic_transfer_time(size);
-                schedule_in_range(
-                    sched,
-                    total,
-                    NetEvent::FlowCompletion {
-                        flow: id,
-                        version: 0,
-                    },
-                );
-            }
-            SharingMode::MaxMinFair => {
-                // The flow starts competing for bandwidth after the route
-                // latency (pipe-fill delay).
-                schedule_in_range(sched, route.latency, NetEvent::FlowActivate { flow: id });
-            }
-        }
+        });
+        schedule_in_range(sched, delay, event);
         id
     }
 
@@ -1440,25 +1442,33 @@ impl Network {
         sched: &mut Scheduler<E>,
         event: NetEvent,
     ) -> Vec<FlowDelivery> {
+        self.handle_event(sched, event).into_iter().collect()
+    }
+
+    /// [`Network::on_event`] without the `Vec`: one event finishes at most
+    /// one flow.
+    pub(crate) fn handle_event<E: NetWorldEvent>(
+        &mut self,
+        sched: &mut Scheduler<E>,
+        event: NetEvent,
+    ) -> Option<FlowDelivery> {
         match (self.mode, event) {
             (SharingMode::Bottleneck, NetEvent::FlowCompletion { flow, .. }) => {
-                match self.take_flow(flow) {
-                    Some(state) => vec![self.finish_flow(state)],
-                    None => vec![],
-                }
+                let state = self.take_flow(flow)?;
+                Some(self.finish_flow(state))
             }
-            (SharingMode::Bottleneck, NetEvent::FlowActivate { .. }) => vec![],
+            (SharingMode::Bottleneck, NetEvent::FlowActivate { .. }) => None,
             (_, NetEvent::Rebalance) => {
                 // The batched flush of every rebalance requested at this
                 // instant (never scheduled in Bottleneck mode).
                 self.rebalance_pending = false;
                 self.rebalance(sched);
                 self.compact_if_due(sched);
-                vec![]
+                None
             }
             (SharingMode::MaxMinFair, NetEvent::FlowActivate { flow }) => {
                 self.activate_flow(sched, flow);
-                vec![]
+                None
             }
             (SharingMode::MaxMinFair, NetEvent::FlowCompletion { flow, version }) => {
                 self.complete_flow(sched, flow, version)
@@ -1520,17 +1530,21 @@ impl Network {
                 .expect("flow just observed")
                 .route,
         );
-        for (hop, &l) in route.links.iter().enumerate() {
-            let list = &mut self.link_flows[l];
-            // Record the back-pointer before pushing.
-            let pos = list.len() as u32;
-            list.push(slot_idx);
-            self.slots[slot_idx as usize]
-                .state
-                .as_mut()
-                .expect("flow just observed")
-                .link_pos[hop] = pos;
-        }
+        // Attach: one incidence-list entry and one back-pointer per hop.
+        let link_pos: Box<[u32]> = route
+            .links
+            .iter()
+            .map(|&l| {
+                let list = &mut self.link_flows[l];
+                list.push(slot_idx);
+                (list.len() - 1) as u32
+            })
+            .collect();
+        self.slots[slot_idx as usize]
+            .state
+            .as_mut()
+            .expect("flow just observed")
+            .link_pos = link_pos;
         self.comp.attach(&route.links, flow);
         self.attached_flows += 1;
         self.mark_dirty(&route.links);
@@ -1544,16 +1558,16 @@ impl Network {
         sched: &mut Scheduler<E>,
         flow: FlowId,
         version: u64,
-    ) -> Vec<FlowDelivery> {
+    ) -> Option<FlowDelivery> {
         let now = sched.now();
         let Some(f) = self.flow_mut(flow) else {
             // Slot recycled or already finished: a stale entry just drained.
             sched.resolve_dead();
-            return vec![];
+            return None;
         };
         if f.version != version {
             sched.resolve_dead();
-            return vec![];
+            return None;
         }
         f.pending_completion = false;
         progress_to(f, now);
@@ -1564,13 +1578,13 @@ impl Network {
             // is below the clock's resolution, in which case the flow is
             // drained for every observable purpose.
             if f.rate <= 0.0 {
-                return vec![]; // starved; a rebalance will reschedule it
+                return None; // starved; a rebalance will reschedule it
             }
             let eta = drain_eta(f.remaining, f.rate);
             if eta > SimDuration::ZERO {
                 f.pending_completion =
                     schedule_in_range(sched, eta, NetEvent::FlowCompletion { flow, version });
-                return vec![];
+                return None;
             }
         }
         self.detach_active(flow.slot());
@@ -1585,7 +1599,7 @@ impl Network {
         }
         let delivery = self.finish_flow(state);
         self.request_rebalance(sched);
-        vec![delivery]
+        Some(delivery)
     }
 
     /// Remove a flow from the active list and the link incidence lists,
@@ -2514,13 +2528,21 @@ fn flow_from_value(v: &Value, platform: &Platform) -> Result<FlowState, DeError>
             "FlowState: no route between hosts {src:?} and {dst:?} in the restored platform"
         ))
     })?;
-    let link_pos: Vec<u32> = serde::field(fields, "link_pos", "FlowState")?;
-    if link_pos.len() != route.links.len() {
+    let active: bool = serde::field(fields, "active", "FlowState")?;
+    let mut link_pos: Vec<u32> = serde::field(fields, "link_pos", "FlowState")?;
+    // An attached flow (active, with links to hold) carries one back-pointer
+    // per hop; any other carries none. Older checkpoints stored a zeroed
+    // per-hop vector for unattached flows too: accept and drop it.
+    let attached = active && !route.links.is_empty();
+    if link_pos.len() != route.links.len() && (attached || !link_pos.is_empty()) {
         return Err(DeError::msg(format!(
             "FlowState: link_pos has {} hops but the re-derived route has {}",
             link_pos.len(),
             route.links.len()
         )));
+    }
+    if !attached {
+        link_pos.clear();
     }
     Ok(FlowState {
         id: serde::field(fields, "id", "FlowState")?,
@@ -2532,7 +2554,7 @@ fn flow_from_value(v: &Value, platform: &Platform) -> Result<FlowState, DeError>
         remaining: serde::field(fields, "remaining", "FlowState")?,
         rate: serde::field(fields, "rate", "FlowState")?,
         last_progress: serde::field(fields, "last_progress", "FlowState")?,
-        active: serde::field(fields, "active", "FlowState")?,
+        active,
         version: serde::field(fields, "version", "FlowState")?,
         pending_completion: serde::field(fields, "pending_completion", "FlowState")?,
         active_pos: serde::field(fields, "active_pos", "FlowState")?,
@@ -3263,6 +3285,73 @@ mod tests {
         }
         let err = Network::from_value(&corrupt(&v)).unwrap_err();
         assert!(err.to_string().contains("route"), "got: {err}");
+    }
+
+    #[test]
+    fn link_pos_is_held_exactly_while_attached() {
+        // Two-hop routes on the star; flow 1 activates at 200 us, flow 2 is
+        // still in its pipe-fill latency at the cut.
+        let mut w = dumbbell(SharingMode::MaxMinFair);
+        let mut sched: Scheduler<Ev> = Scheduler::new();
+        let size = DataSize::from_bytes(1_000_000);
+        w.net
+            .start_flow(&mut sched, HostId::new(0), HostId::new(1), size, 1);
+        run_world(&mut w, &mut sched, Some(SimTime::from_micros(300)));
+        w.net
+            .start_flow(&mut sched, HostId::new(2), HostId::new(3), size, 2);
+        let hops = |net: &Network| -> Vec<usize> {
+            net.slots
+                .iter()
+                .filter_map(|s| s.state.as_ref())
+                .map(|f| f.link_pos.len())
+                .collect()
+        };
+        assert_eq!(hops(&w.net), [2, 0]);
+
+        // Rewrite flow `token`'s encoded back-pointers.
+        fn set_link_pos(v: &Value, token: u64, link_pos: &[u32]) -> Value {
+            match v {
+                Value::Object(fields) if fields.contains(&("token".into(), Value::UInt(token))) => {
+                    Value::Object(
+                        fields
+                            .iter()
+                            .map(|(k, inner)| match k.as_str() {
+                                "link_pos" => (k.clone(), link_pos.to_value()),
+                                _ => (k.clone(), inner.clone()),
+                            })
+                            .collect(),
+                    )
+                }
+                Value::Object(fields) => Value::Object(
+                    fields
+                        .iter()
+                        .map(|(k, inner)| (k.clone(), set_link_pos(inner, token, link_pos)))
+                        .collect(),
+                ),
+                Value::Array(items) => Value::Array(
+                    items
+                        .iter()
+                        .map(|i| set_link_pos(i, token, link_pos))
+                        .collect(),
+                ),
+                other => other.clone(),
+            }
+        }
+        let v = w.net.to_value();
+        // The older layout's zeroed per-hop slice on an unattached flow is
+        // accepted and dropped.
+        let legacy = Network::from_value(&set_link_pos(&v, 2, &[0, 0])).unwrap();
+        assert_eq!(hops(&legacy), [2, 0]);
+        assert_eq!(legacy.to_value(), v);
+        for (token, link_pos) in [(1, &[][..]), (1, &[0][..]), (2, &[0][..])] {
+            let err = Network::from_value(&set_link_pos(&v, token, link_pos)).unwrap_err();
+            assert!(err.to_string().contains("link_pos"), "got: {err}");
+        }
+
+        // Both flows still complete.
+        run_world(&mut w, &mut sched, None);
+        assert!(hops(&w.net).is_empty());
+        assert_eq!(w.deliveries.len(), 2);
     }
 
     #[test]

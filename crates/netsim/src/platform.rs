@@ -10,7 +10,7 @@
 //! Routes between hosts are computed on demand with Dijkstra's algorithm
 //! (minimising latency, then hop count) and cached.
 
-use p2p_common::{Bandwidth, DataSize, HostId, IpAddr, NodeId, SimDuration};
+use p2p_common::{Bandwidth, DataSize, HostId, IdMap, IpAddr, NodeId, SimDuration};
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -123,7 +123,8 @@ pub struct Platform {
     /// Host table: `HostId(i)` is `hosts[i]`.
     hosts: Vec<NodeId>,
     node_of_name: HashMap<String, NodeId>,
-    route_cache: HashMap<(HostId, HostId), Arc<Route>>,
+    /// Keyed by validated host ids, so the fixed [`IdMap`] hash is safe.
+    route_cache: IdMap<(HostId, HostId), Arc<Route>>,
 }
 
 impl Platform {
@@ -306,7 +307,7 @@ impl Deserialize for Platform {
             adj,
             hosts,
             node_of_name,
-            route_cache: HashMap::new(),
+            route_cache: IdMap::default(),
         })
     }
 }
@@ -412,7 +413,7 @@ impl PlatformBuilder {
             adj,
             hosts: self.hosts,
             node_of_name,
-            route_cache: HashMap::new(),
+            route_cache: IdMap::default(),
         }
     }
 }

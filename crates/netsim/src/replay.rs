@@ -28,9 +28,9 @@ use crate::event::{run_world, Scheduler, World};
 use crate::network::{FlowDelivery, NetEvent, NetStats, NetWorldEvent, Network, SharingMode};
 use crate::platform::Platform;
 use crate::pool::EngineConfig;
-use p2p_common::{DataSize, HostId, SimDuration, SimTime};
+use p2p_common::{DataSize, HostId, IdMap, SimDuration, SimTime};
 use serde::{DeError, Deserialize, Serialize, Value};
-use std::collections::{HashMap, VecDeque};
+use std::collections::hash_map::Entry;
 use std::path::Path;
 
 /// One operation of a process script.
@@ -166,25 +166,51 @@ struct Proc {
     ops: Vec<ReplayOp>,
     pc: usize,
     state: ProcState,
-    mailbox: HashMap<(usize, u32), VecDeque<()>>,
+    /// Delivered, not yet received messages: a count per `(from, tag)`.
+    /// Payloads are not modelled, so a count describes the queue fully.
+    /// Entries are removed when they reach zero.
+    mailbox: IdMap<(usize, u32), u64>,
     finish: Option<SimTime>,
     compute_total: SimDuration,
     wait_total: SimDuration,
     wait_since: SimTime,
 }
 
+impl Proc {
+    /// Occupy the CPU for `d` (a compute block or protocol processing); the
+    /// rank resumes when it elapses.
+    fn busy(&mut self, sched: &mut Scheduler<Ev>, rank: usize, d: SimDuration) {
+        self.state = ProcState::Busy;
+        self.compute_total += d;
+        sched.schedule_in(d, Ev::Resume { rank });
+    }
+
+    /// Consume one queued message from `(from, tag)`, if there is one.
+    fn take_message(&mut self, from: usize, tag: u32) -> bool {
+        match self.mailbox.entry((from, tag)) {
+            Entry::Occupied(mut e) => {
+                if *e.get() > 1 {
+                    *e.get_mut() -= 1;
+                } else {
+                    e.remove();
+                }
+                true
+            }
+            Entry::Vacant(_) => false,
+        }
+    }
+}
+
 // Hand-written serde: the mailbox is keyed by `(usize, u32)` tuples, which
-// the shim's map encoding cannot express as JSON object keys. Each non-empty
-// queue becomes a `[from, tag, count]` triple (the payloads are unit values,
-// so a queue is fully described by its length), sorted so the encoding is
-// canonical regardless of hash iteration order.
+// the shim's map encoding cannot express as JSON object keys. Each count
+// becomes a `[from, tag, count]` triple, sorted so the encoding is canonical
+// regardless of hash iteration order.
 impl Serialize for Proc {
     fn to_value(&self) -> Value {
         let mut mail: Vec<(usize, u32, u64)> = self
             .mailbox
             .iter()
-            .filter(|(_, q)| !q.is_empty())
-            .map(|(&(from, tag), q)| (from, tag, q.len() as u64))
+            .map(|(&(from, tag), &n)| (from, tag, n))
             .collect();
         mail.sort_unstable();
         Value::Object(vec![
@@ -224,12 +250,11 @@ impl Deserialize for Proc {
             )));
         }
         let triples: Vec<(usize, u32, u64)> = serde::field(fields, "mailbox", "Proc")?;
-        let mut mailbox: HashMap<(usize, u32), VecDeque<()>> = HashMap::new();
+        let mut mailbox: IdMap<(usize, u32), u64> = IdMap::default();
         for (from, tag, count) in triples {
-            mailbox.insert(
-                (from, tag),
-                std::iter::repeat_n((), count as usize).collect(),
-            );
+            if count > 0 {
+                mailbox.insert((from, tag), count);
+            }
         }
         Ok(Proc {
             host: serde::field(fields, "host", "Proc")?,
@@ -270,7 +295,7 @@ struct ReplayWorld {
     net: Network,
     procs: Vec<Proc>,
     protocol: ProtocolCosts,
-    token_info: HashMap<u64, (usize, usize, u32)>, // token -> (src, dst, tag)
+    token_info: IdMap<u64, (usize, usize, u32)>, // token -> (src, dst, tag)
     next_token: u64,
     messages_sent: u64,
 }
@@ -278,53 +303,40 @@ struct ReplayWorld {
 impl ReplayWorld {
     fn advance(&mut self, sched: &mut Scheduler<Ev>, rank: usize) {
         loop {
-            if self.procs[rank].state == ProcState::Done {
+            let p = &mut self.procs[rank];
+            if p.state == ProcState::Done {
                 return;
             }
-            let pc = self.procs[rank].pc;
-            if pc >= self.procs[rank].ops.len() {
-                self.procs[rank].state = ProcState::Done;
-                self.procs[rank].finish = Some(sched.now());
+            let Some(&op) = p.ops.get(p.pc) else {
+                p.state = ProcState::Done;
+                p.finish = Some(sched.now());
                 return;
-            }
-            let op = self.procs[rank].ops[pc];
+            };
             match op {
                 ReplayOp::Compute { duration } => {
-                    self.procs[rank].pc += 1;
-                    self.procs[rank].state = ProcState::Busy;
-                    self.procs[rank].compute_total += duration;
-                    sched.schedule_in(duration, Ev::Resume { rank });
+                    p.pc += 1;
+                    p.busy(sched, rank, duration);
                     return;
                 }
                 ReplayOp::Send { to, bytes, tag } => {
-                    self.procs[rank].pc += 1;
+                    p.pc += 1;
                     self.post_send(sched, rank, to, bytes, tag);
                     let cpu = self.protocol.send_cpu;
                     if !cpu.is_zero() {
-                        self.procs[rank].state = ProcState::Busy;
-                        self.procs[rank].compute_total += cpu;
-                        sched.schedule_in(cpu, Ev::Resume { rank });
+                        self.procs[rank].busy(sched, rank, cpu);
                         return;
                     }
                 }
                 ReplayOp::Recv { from, tag } => {
-                    let available = self.procs[rank]
-                        .mailbox
-                        .get_mut(&(from, tag))
-                        .and_then(|q| q.pop_front())
-                        .is_some();
-                    if available {
-                        self.procs[rank].pc += 1;
-                        let cpu = self.protocol.recv_cpu;
-                        if !cpu.is_zero() {
-                            self.procs[rank].state = ProcState::Busy;
-                            self.procs[rank].compute_total += cpu;
-                            sched.schedule_in(cpu, Ev::Resume { rank });
-                            return;
-                        }
-                    } else {
-                        self.procs[rank].state = ProcState::Waiting { from, tag };
-                        self.procs[rank].wait_since = sched.now();
+                    if !p.take_message(from, tag) {
+                        p.state = ProcState::Waiting { from, tag };
+                        p.wait_since = sched.now();
+                        return;
+                    }
+                    p.pc += 1;
+                    let cpu = self.protocol.recv_cpu;
+                    if !cpu.is_zero() {
+                        p.busy(sched, rank, cpu);
                         return;
                     }
                 }
@@ -359,32 +371,21 @@ impl ReplayWorld {
             .token_info
             .remove(&delivery.token)
             .expect("delivery for unknown token");
-        self.procs[dst]
-            .mailbox
-            .entry((src, tag))
-            .or_default()
-            .push_back(());
-        if let ProcState::Waiting { from, tag: wtag } = self.procs[dst].state {
-            if from == src && wtag == tag {
-                // Consume the message we were waiting for and resume.
-                self.procs[dst]
-                    .mailbox
-                    .get_mut(&(src, tag))
-                    .and_then(|q| q.pop_front())
-                    .expect("message just enqueued");
-                let waited = sched.now().duration_since(self.procs[dst].wait_since);
-                self.procs[dst].wait_total += waited;
-                self.procs[dst].pc += 1;
-                let cpu = self.protocol.recv_cpu;
-                if cpu.is_zero() {
-                    self.procs[dst].state = ProcState::Ready;
-                    self.advance(sched, dst);
-                } else {
-                    self.procs[dst].state = ProcState::Busy;
-                    self.procs[dst].compute_total += cpu;
-                    sched.schedule_in(cpu, Ev::Resume { rank: dst });
-                }
-            }
+        let p = &mut self.procs[dst];
+        if p.state != (ProcState::Waiting { from: src, tag }) {
+            *p.mailbox.entry((src, tag)).or_default() += 1;
+            return;
+        }
+        // The message the rank is blocked on: consume it without queueing
+        // and resume.
+        p.wait_total += sched.now().duration_since(p.wait_since);
+        p.pc += 1;
+        let cpu = self.protocol.recv_cpu;
+        if cpu.is_zero() {
+            p.state = ProcState::Ready;
+            self.advance(sched, dst);
+        } else {
+            p.busy(sched, dst, cpu);
         }
     }
 }
@@ -399,8 +400,7 @@ impl World for ReplayWorld {
                 self.advance(sched, rank);
             }
             Ev::Net(ne) => {
-                let deliveries = self.net.on_event(sched, ne);
-                for d in deliveries {
+                if let Some(d) = self.net.handle_event(sched, ne) {
                     self.deliver(sched, d);
                 }
             }
@@ -494,7 +494,7 @@ impl ReplaySession {
                 ops: expand_ops(&s.ops),
                 pc: 0,
                 state: ProcState::Ready,
-                mailbox: HashMap::new(),
+                mailbox: IdMap::default(),
                 finish: None,
                 compute_total: SimDuration::ZERO,
                 wait_total: SimDuration::ZERO,
@@ -506,7 +506,7 @@ impl ReplaySession {
             net,
             procs,
             protocol: cfg.protocol,
-            token_info: HashMap::new(),
+            token_info: IdMap::default(),
             next_token: 0,
             messages_sent: 0,
         };
@@ -621,6 +621,12 @@ impl ReplaySession {
         })?;
         let procs: Vec<Proc> = serde::field(fields, "procs", "ReplaySession")?;
         let hosts = restored.network.platform().host_count();
+        let ranks = procs.len();
+        let bad = |i: usize, what: String| {
+            Err(CheckpointError::Format(format!(
+                "rank {i}: {what} outside the {ranks}-rank replay"
+            )))
+        };
         for (i, p) in procs.iter().enumerate() {
             if p.host.index() >= hosts {
                 return Err(CheckpointError::Format(format!(
@@ -628,16 +634,51 @@ impl ReplaySession {
                     p.host
                 )));
             }
+            for (pc, op) in p.ops.iter().enumerate() {
+                let peer = match *op {
+                    ReplayOp::Compute { .. } => continue,
+                    ReplayOp::Send { to, .. } => to,
+                    ReplayOp::Recv { from, .. } => from,
+                    // Scripts are stored expanded; the kernel never runs one.
+                    ReplayOp::SendRecv { .. } => {
+                        return Err(CheckpointError::Format(format!(
+                            "rank {i}: op {pc} is an unexpanded SendRecv"
+                        )));
+                    }
+                };
+                if peer >= ranks {
+                    return bad(i, format!("op {pc} names rank {peer}"));
+                }
+            }
+            if let ProcState::Waiting { from, .. } = p.state {
+                if from >= ranks {
+                    return bad(i, format!("waits for rank {from}"));
+                }
+            }
         }
-        let token_info: HashMap<u64, (usize, usize, u32)> =
+        let token_info: IdMap<u64, (usize, usize, u32)> =
             serde::field(fields, "token_info", "ReplaySession")?;
+        let next_token: u64 = serde::field(fields, "next_token", "ReplaySession")?;
         for (token, &(src, dst, _)) in &token_info {
-            if src >= procs.len() || dst >= procs.len() {
+            if src >= ranks || dst >= ranks {
                 return Err(CheckpointError::Format(format!(
-                    "in-flight message {token} references a rank outside the {}-rank replay",
-                    procs.len()
+                    "in-flight message {token} references a rank outside the {ranks}-rank replay"
                 )));
             }
+            if *token >= next_token {
+                return Err(CheckpointError::Format(format!(
+                    "in-flight message {token} is not below the next token {next_token}"
+                )));
+            }
+        }
+        if let Some(token) = restored
+            .network
+            .flow_tokens()
+            .find(|t| !token_info.contains_key(t))
+        {
+            return Err(CheckpointError::Format(format!(
+                "a flow in flight carries token {token}, which names no message"
+            )));
         }
         Ok(ReplaySession {
             world: ReplayWorld {
@@ -645,7 +686,7 @@ impl ReplaySession {
                 procs,
                 protocol: serde::field(fields, "protocol", "ReplaySession")?,
                 token_info,
-                next_token: serde::field(fields, "next_token", "ReplaySession")?,
+                next_token,
                 messages_sent: serde::field(fields, "messages_sent", "ReplaySession")?,
             },
             sched: restored.scheduler,
@@ -991,6 +1032,141 @@ mod tests {
         assert_eq!(got.wait_time, want.wait_time);
         assert_eq!(got.messages_sent, want.messages_sent);
         assert_eq!(got.net_stats, want.net_stats);
+    }
+
+    /// A 4-rank ring of 4 MB sends on the Bordeplage cluster under the
+    /// paper's `Bottleneck` mode, with protocol costs.
+    fn bottleneck_ring() -> (Platform, Vec<HostId>, Vec<ProcessScript>, ReplayConfig) {
+        let topo = crate::topology::cluster_bordeplage(4, HostSpec::default());
+        let n = 4;
+        let scripts = (0..n)
+            .map(|r| {
+                let mut ops = vec![compute(1)];
+                for _ in 0..2 {
+                    ops.push(ReplayOp::SendRecv {
+                        to: (r + 1) % n,
+                        from: (r + n - 1) % n,
+                        bytes: 4_000_000,
+                        tag: 2,
+                    });
+                }
+                ProcessScript { rank: r, ops }
+            })
+            .collect();
+        let cfg = ReplayConfig {
+            protocol: ProtocolCosts {
+                header_bytes: 64,
+                send_cpu: SimDuration::from_micros(20),
+                recv_cpu: SimDuration::from_micros(20),
+            },
+            ..ReplayConfig::default()
+        };
+        (topo.platform, topo.hosts[..n].to_vec(), scripts, cfg)
+    }
+
+    #[test]
+    fn bottleneck_session_restores_with_messages_in_flight() {
+        let (p, hosts, scripts, cfg) = bottleneck_ring();
+        assert_eq!(cfg.sharing, SharingMode::Bottleneck);
+        let mut uninterrupted = ReplaySession::new(p.clone(), &hosts, &scripts, &cfg);
+        uninterrupted.run_until(None);
+        let want = uninterrupted.result();
+
+        let mut paused = ReplaySession::new(p, &hosts, &scripts, &cfg);
+        paused.run_until(Some(SimTime::from_millis(1)));
+        assert_eq!(
+            paused.world.token_info.len(),
+            4,
+            "every rank's send is in flight"
+        );
+        let text = serde_json::to_string(&paused.checkpoint()).unwrap();
+        let snapshot: Value = serde_json::from_str(&text).unwrap();
+        let mut resumed = ReplaySession::restore(&snapshot).unwrap();
+        assert_eq!(serde_json::to_string(&resumed.checkpoint()).unwrap(), text);
+        resumed.run_until(None);
+        let got = resumed.result();
+
+        assert_eq!(got.makespan, want.makespan);
+        assert_eq!(got.finish_times, want.finish_times);
+        assert_eq!(got.compute_time, want.compute_time);
+        assert_eq!(got.wait_time, want.wait_time);
+        assert_eq!(got.messages_sent, want.messages_sent);
+        assert_eq!(got.net_stats, want.net_stats);
+    }
+
+    /// The Bottleneck ring cut at 1 ms, decoded from its checkpoint text
+    /// after replacing the first occurrence of each `(from, to)` pair.
+    fn edited_ring_checkpoint(edits: &[(&str, &str)]) -> Value {
+        let (p, hosts, scripts, cfg) = bottleneck_ring();
+        let mut s = ReplaySession::new(p, &hosts, &scripts, &cfg);
+        s.run_until(Some(SimTime::from_millis(1)));
+        let mut text = serde_json::to_string(&s.checkpoint()).unwrap();
+        for (from, to) in edits {
+            assert!(text.contains(from), "checkpoint lacks `{from}`");
+            text = text.replacen(from, to, 1);
+        }
+        serde_json::from_str(&text).unwrap()
+    }
+
+    fn restore_err(v: &Value) -> String {
+        match ReplaySession::restore(v) {
+            Ok(_) => panic!("malformed checkpoint restored"),
+            Err(e) => e.to_string(),
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_send_to_an_unknown_rank() {
+        let v = edited_ring_checkpoint(&[(r#"{"Send":{"to":1,"#, r#"{"Send":{"to":4,"#)]);
+        assert!(restore_err(&v).contains("names rank 4"));
+    }
+
+    #[test]
+    fn restore_rejects_a_recv_from_an_unknown_rank() {
+        let v = edited_ring_checkpoint(&[(r#"{"Recv":{"from":3,"#, r#"{"Recv":{"from":9,"#)]);
+        assert!(restore_err(&v).contains("names rank 9"));
+    }
+
+    #[test]
+    fn restore_rejects_a_stored_sendrecv() {
+        let v = edited_ring_checkpoint(&[(
+            r#"{"Recv":{"from":3,"tag":2}}"#,
+            r#"{"SendRecv":{"to":1,"from":7,"bytes":1,"tag":2}}"#,
+        )]);
+        assert!(restore_err(&v).contains("unexpanded SendRecv"));
+    }
+
+    #[test]
+    fn restore_rejects_a_flow_whose_token_names_no_message() {
+        // Tokens 0..4 are the four ring sends in flight at the cut.
+        let renamed = (r#""token_info":{"0":"#, r#""token_info":{"7":"#);
+        let v = edited_ring_checkpoint(&[renamed]);
+        assert!(restore_err(&v).contains("is not below the next token"));
+        let v = edited_ring_checkpoint(&[renamed, (r#""next_token":4"#, r#""next_token":8"#)]);
+        assert!(restore_err(&v).contains("carries token 0"));
+    }
+
+    #[test]
+    fn restore_rejects_waiting_on_an_unknown_rank() {
+        let (p, hosts) = star_platform(2);
+        let scripts = vec![
+            ProcessScript {
+                rank: 0,
+                ops: vec![compute(5)],
+            },
+            ProcessScript {
+                rank: 1,
+                ops: vec![ReplayOp::Recv { from: 0, tag: 3 }],
+            },
+        ];
+        let mut s = ReplaySession::new(p, &hosts, &scripts, &ReplayConfig::default());
+        s.run_until(Some(SimTime::from_millis(1)));
+        let text = serde_json::to_string(&s.checkpoint()).unwrap();
+        let waiting = r#"{"Waiting":{"from":0,"tag":3}}"#;
+        assert!(text.contains(waiting));
+        let v = serde_json::from_str(&text.replace(waiting, r#"{"Waiting":{"from":2,"tag":3}}"#))
+            .unwrap();
+        assert!(restore_err(&v).contains("waits for rank 2"));
     }
 
     #[test]

@@ -8,12 +8,15 @@
 //! adversarially chosen cut point, and bit-exact comparison of everything
 //! observable afterwards.
 //!
-//! Each case runs the workload twice: once uninterrupted, once
-//! popped to a random mid-run event index, serialized through the *full
-//! JSON text path* (`checkpoint::to_json` → `checkpoint::from_json`, so
-//! float formatting exactness is on trial too, not just the in-memory
-//! `Value` tree), and then drained. Token → completion-nanosecond maps must
-//! match exactly, as must the final network statistics.
+//! Each case runs the workload twice, under either sharing mode: once
+//! uninterrupted, once popped to a random mid-run event index, serialized
+//! through the *full JSON text path* (`checkpoint::to_json` →
+//! `checkpoint::from_json`, so float formatting exactness is on trial too,
+//! not just the in-memory `Value` tree), and then drained. Token →
+//! completion-nanosecond maps must match exactly, as must the final network
+//! statistics. The same cut is also restored from the older flow layout,
+//! which stored a zeroed back-pointer per hop for flows not yet attached to
+//! the link incidence lists.
 //!
 //! Decoding is also on trial against malformed input: truncated and
 //! byte-mutated copies of a real mid-run checkpoint must come back as an
@@ -108,9 +111,11 @@ proptest! {
             (0u64..60, 0usize..64, 0usize..64, 50_000u64..1_500_000), 3..16),
         cut in 1usize..120,
         n_hosts in 3usize..7,
+        bottleneck in any::<bool>(),
     ) {
+        let mode = if bottleneck { SharingMode::Bottleneck } else { SharingMode::MaxMinFair };
         // Uninterrupted reference run.
-        let mut net = Network::new(star(n_hosts), SharingMode::MaxMinFair);
+        let mut net = Network::new(star(n_hosts), mode);
         let mut sched: Scheduler<StreamEvent> = Scheduler::new();
         seed(&mut sched, &workload, n_hosts);
         let mut want = Vec::new();
@@ -119,22 +124,30 @@ proptest! {
 
         // Interrupted run: stop after `cut` events, checkpoint through the
         // JSON text round-trip, resume in fresh objects.
-        let mut net_a = Network::new(star(n_hosts), SharingMode::MaxMinFair);
+        let mut net_a = Network::new(star(n_hosts), mode);
         let mut sched_a: Scheduler<StreamEvent> = Scheduler::new();
         seed(&mut sched_a, &workload, n_hosts);
-        let mut got = Vec::new();
-        run(&mut net_a, &mut sched_a, &mut got, Some(cut));
+        let mut before_cut = Vec::new();
+        run(&mut net_a, &mut sched_a, &mut before_cut, Some(cut));
 
         let json = checkpoint::to_json(&net_a, &sched_a, Value::Null).unwrap();
-        let restored = checkpoint::from_json::<StreamEvent>(&json).unwrap();
-        let mut net_b = restored.network;
-        let mut sched_b = restored.scheduler;
-        prop_assert_eq!(sched_b.now(), sched_a.now());
+        // Every route on the star has two hops (source access link, then
+        // destination access link) and sources never equal destinations.
+        let legacy = json.replace("\"link_pos\":[]", "\"link_pos\":[0,0]");
+        for text in [&json, &legacy] {
+            let restored = checkpoint::from_json::<StreamEvent>(text).unwrap();
+            let mut net_b = restored.network;
+            let mut sched_b = restored.scheduler;
+            prop_assert_eq!(sched_b.now(), sched_a.now());
+            prop_assert_eq!(&checkpoint::to_json(&net_b, &sched_b, Value::Null).unwrap(), &json,
+                "restore did not re-encode canonically at event {}", cut);
 
-        run(&mut net_b, &mut sched_b, &mut got, None);
-        prop_assert_eq!(&got, &want, "diverged after restore at event {}", cut);
-        prop_assert_eq!(net_b.stats(), &want_stats,
-            "stats diverged after restore at event {}", cut);
+            let mut got = before_cut.clone();
+            run(&mut net_b, &mut sched_b, &mut got, None);
+            prop_assert_eq!(&got, &want, "diverged after restore at event {}", cut);
+            prop_assert_eq!(net_b.stats(), &want_stats,
+                "stats diverged after restore at event {}", cut);
+        }
     }
 
     /// Checkpoint bytes are canonical: checkpointing, restoring, and
