@@ -116,6 +116,20 @@ pub fn encode<E: Serialize>(net: &Network, sched: &Scheduler<E>, world: Value) -
 /// Decode an envelope produced by [`encode`], verifying `format` and
 /// `version` before touching any state field.
 pub fn decode<E: Deserialize>(v: &Value) -> Result<Restored<E>, CheckpointError> {
+    let (network, scheduler, world) = decode_state(v)?;
+    Ok(Restored {
+        network,
+        scheduler,
+        world: world.cloned().unwrap_or(Value::Null),
+    })
+}
+
+/// [`decode`] without the copy of the `world` slot: the slot is returned
+/// borrowed from `v` (`None` when the writer stored none), for embedders
+/// that read their own state straight out of the envelope.
+pub(crate) fn decode_state<E: Deserialize>(
+    v: &Value,
+) -> Result<(Network, Scheduler<E>, Option<&Value>), CheckpointError> {
     let fields = v
         .as_object()
         .ok_or_else(|| CheckpointError::Format("envelope is not an object".to_owned()))?;
@@ -133,16 +147,8 @@ pub fn decode<E: Deserialize>(v: &Value) -> Result<Restored<E>, CheckpointError>
     }
     let network: Network = serde::field(fields, "network", "checkpoint")?;
     let scheduler: Scheduler<E> = serde::field(fields, "scheduler", "checkpoint")?;
-    let world = fields
-        .iter()
-        .find(|(k, _)| k == "world")
-        .map(|(_, v)| v.clone())
-        .unwrap_or(Value::Null);
-    Ok(Restored {
-        network,
-        scheduler,
-        world,
-    })
+    let world = fields.iter().find(|(k, _)| k == "world").map(|(_, v)| v);
+    Ok((network, scheduler, world))
 }
 
 /// Serialize an envelope to a JSON string (one line, stable field order —

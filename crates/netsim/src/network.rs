@@ -2482,11 +2482,11 @@ impl Network {
 }
 
 /// Encode one live flow. The route is *not* stored: it is re-derived on
-/// restore from `(src, dst)` by the platform's deterministic Dijkstra, which
-/// yields the identical link sequence (and therefore identical sharing
-/// behaviour). The fill scratch fields (`fixed_epoch`, `comp_epoch`,
-/// `new_rate`) are dead between events — checkpoints happen at event
-/// boundaries — and restart at zero.
+/// restore from `(src, dst)` through the platform's route cache, whose
+/// deterministic Dijkstra yields the identical link sequence (and therefore
+/// identical sharing behaviour). The fill scratch fields (`fixed_epoch`,
+/// `comp_epoch`, `new_rate`) are dead between events — checkpoints happen
+/// at event boundaries — and restart at zero.
 fn flow_to_value(f: &FlowState) -> Value {
     Value::Object(vec![
         ("id".to_owned(), f.id.to_value()),
@@ -2508,8 +2508,10 @@ fn flow_to_value(f: &FlowState) -> Value {
     ])
 }
 
-/// Decode one live flow, re-deriving its route from the restored platform.
-fn flow_from_value(v: &Value, platform: &Platform) -> Result<FlowState, DeError> {
+/// Decode one live flow, re-deriving its route through the restored
+/// platform's route cache: flows of one host pair share one [`Arc`], as in
+/// the live run, and the cache is warm once the restore is done.
+fn flow_from_value(v: &Value, platform: &mut Platform) -> Result<FlowState, DeError> {
     let fields = v
         .as_object()
         .ok_or_else(|| DeError::expected("object", "FlowState", v))?;
@@ -2523,7 +2525,7 @@ fn flow_from_value(v: &Value, platform: &Platform) -> Result<FlowState, DeError>
             )));
         }
     }
-    let route = platform.route_uncached(src, dst).ok_or_else(|| {
+    let route = platform.try_route(src, dst).ok_or_else(|| {
         DeError::msg(format!(
             "FlowState: no route between hosts {src:?} and {dst:?} in the restored platform"
         ))
@@ -2550,7 +2552,7 @@ fn flow_from_value(v: &Value, platform: &Platform) -> Result<FlowState, DeError>
         dst,
         token: serde::field(fields, "token", "FlowState")?,
         size: serde::field(fields, "size", "FlowState")?,
-        route: Arc::new(route),
+        route,
         remaining: serde::field(fields, "remaining", "FlowState")?,
         rate: serde::field(fields, "rate", "FlowState")?,
         last_progress: serde::field(fields, "last_progress", "FlowState")?,
@@ -2673,7 +2675,7 @@ impl Deserialize for Network {
             let state = match flow_v {
                 Value::Null => None,
                 other => {
-                    let f = flow_from_value(other, &net.platform)?;
+                    let f = flow_from_value(other, &mut net.platform)?;
                     if f.id != FlowId::from_parts(idx as u32, generation) {
                         return Err(DeError::msg(format!(
                             "Network.slots: flow id {:?} does not match slot {idx} generation {generation}",

@@ -8,11 +8,17 @@
 //! contributes one edge per direction, each with its own capacity).
 //!
 //! Routes between hosts are computed on demand with Dijkstra's algorithm
-//! (minimising latency, then hop count) and cached.
+//! (minimising latency, then hop count) and cached. The search keeps its
+//! per-node arrays between queries, stamped with a query epoch, so a route
+//! miss costs the nodes it visits rather than the size of the platform, and
+//! it never expands a leaf (a node with a single neighbour, such as a host
+//! on one access link) other than the destination: no shortest path
+//! transits one, so skipping them leaves every route unchanged.
 
 use p2p_common::{Bandwidth, DataSize, HostId, IdMap, IpAddr, NodeId, SimDuration};
 use serde::{DeError, Deserialize, Serialize, Value};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
 
 /// What kind of equipment a platform node models.
@@ -120,14 +126,100 @@ pub struct Platform {
     links: Vec<Link>,
     /// adjacency: for each node, outgoing (link index, head node).
     adj: Vec<Vec<(usize, NodeId)>>,
+    /// Nodes whose links all join one neighbour (a host on one access link,
+    /// say). A path through such a node returns to the node it came from,
+    /// so no shortest path transits it and the search never expands it.
+    leaf: Vec<bool>,
     /// Host table: `HostId(i)` is `hosts[i]`.
     hosts: Vec<NodeId>,
     node_of_name: HashMap<String, NodeId>,
     /// Keyed by validated host ids, so the fixed [`IdMap`] hash is safe.
     route_cache: IdMap<(HostId, HostId), Arc<Route>>,
+    /// Dijkstra's per-node arrays, reused across route misses.
+    scratch: RouteScratch,
+}
+
+/// A Dijkstra cost: total latency in ns, then hop count.
+type Cost = (u64, u32);
+
+/// Reusable Dijkstra state. An entry of `dist`/`prev` belongs to the
+/// current query only if its `stamp` equals `epoch`; any other entry reads
+/// as unreached. Starting a query therefore bumps `epoch` instead of
+/// refilling one entry per platform node.
+#[derive(Debug, Clone, Default)]
+struct RouteScratch {
+    epoch: u32,
+    stamp: Vec<u32>,
+    dist: Vec<Cost>,
+    /// The link used to reach each node.
+    prev: Vec<usize>,
+    heap: BinaryHeap<Reverse<(Cost, NodeId)>>,
+}
+
+impl RouteScratch {
+    /// Ready the scratch for a new query over `n` nodes.
+    fn begin(&mut self, n: usize) {
+        if self.stamp.len() < n {
+            self.stamp.resize(n, 0);
+            self.dist.resize(n, (u64::MAX, u32::MAX));
+            self.prev.resize(n, usize::MAX);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Stamps from 2^32 queries ago would read as current.
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+        self.heap.clear();
+    }
+
+    fn dist(&self, node: NodeId) -> Cost {
+        if self.stamp[node.index()] == self.epoch {
+            self.dist[node.index()]
+        } else {
+            (u64::MAX, u32::MAX)
+        }
+    }
+
+    fn reach(&mut self, node: NodeId, cost: Cost, via: usize) {
+        self.stamp[node.index()] = self.epoch;
+        self.dist[node.index()] = cost;
+        self.prev[node.index()] = via;
+    }
 }
 
 impl Platform {
+    /// Assemble a platform from its graph, deriving the adjacency index, the
+    /// leaf marks and the name table; the route cache starts empty.
+    fn index(nodes: Vec<Node>, links: Vec<Link>, hosts: Vec<NodeId>) -> Platform {
+        let mut adj = vec![Vec::new(); nodes.len()];
+        // A node stays a leaf while all its links join the first neighbour
+        // seen, in either direction.
+        let mut first: Vec<Option<NodeId>> = vec![None; nodes.len()];
+        let mut leaf = vec![true; nodes.len()];
+        for (i, link) in links.iter().enumerate() {
+            adj[link.from.index()].push((i, link.to));
+            for (node, other) in [(link.from, link.to), (link.to, link.from)] {
+                match first[node.index()] {
+                    None => first[node.index()] = Some(other),
+                    Some(n) if n != other => leaf[node.index()] = false,
+                    Some(_) => {}
+                }
+            }
+        }
+        let node_of_name = nodes.iter().map(|n| (n.name.clone(), n.id)).collect();
+        Platform {
+            nodes,
+            links,
+            adj,
+            leaf,
+            hosts,
+            node_of_name,
+            route_cache: IdMap::default(),
+            scratch: RouteScratch::default(),
+        }
+    }
+
     /// All nodes.
     pub fn nodes(&self) -> &[Node] {
         &self.nodes
@@ -177,29 +269,42 @@ impl Platform {
     /// Compute (or fetch from cache) the route between two hosts. Panics if
     /// the hosts are disconnected — a platform is expected to be connected.
     pub fn route(&mut self, from: HostId, to: HostId) -> Arc<Route> {
-        if let Some(r) = self.route_cache.get(&(from, to)) {
-            return Arc::clone(r);
-        }
-        let route = Arc::new(self.dijkstra(from, to).unwrap_or_else(|| {
+        self.try_route(from, to).unwrap_or_else(|| {
             panic!(
                 "no route between {} and {}",
                 self.host(from).name,
                 self.host(to).name
             )
-        }));
+        })
+    }
+
+    /// Compute (or fetch from cache) the route between two hosts; `None` if
+    /// either id is not a host of this platform or the hosts are
+    /// disconnected. Found routes are cached, so every lookup of the same
+    /// pair shares one [`Arc`].
+    pub fn try_route(&mut self, from: HostId, to: HostId) -> Option<Arc<Route>> {
+        if from.index() >= self.hosts.len() || to.index() >= self.hosts.len() {
+            return None;
+        }
+        if let Some(r) = self.route_cache.get(&(from, to)) {
+            return Some(Arc::clone(r));
+        }
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let route = self.dijkstra(&mut scratch, from, to);
+        self.scratch = scratch;
+        let route = Arc::new(route?);
         self.route_cache.insert((from, to), Arc::clone(&route));
-        route
+        Some(route)
     }
 
-    /// Route lookup without caching (for read-only contexts).
+    /// Route lookup without caching (for read-only contexts). Each call
+    /// sizes fresh search arrays to the platform; [`Platform::try_route`]
+    /// reuses them.
     pub fn route_uncached(&self, from: HostId, to: HostId) -> Option<Route> {
-        self.dijkstra(from, to)
+        self.dijkstra(&mut RouteScratch::default(), from, to)
     }
 
-    fn dijkstra(&self, from: HostId, to: HostId) -> Option<Route> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
+    fn dijkstra(&self, scratch: &mut RouteScratch, from: HostId, to: HostId) -> Option<Route> {
         let src = self.node_of_host(from);
         let dst = self.node_of_host(to);
         if src == dst {
@@ -209,15 +314,11 @@ impl Platform {
                 bottleneck: Bandwidth::from_gbps(f64::MAX / 1e9),
             });
         }
-        let n = self.nodes.len();
-        // Cost = (total latency ns, hop count).
-        let mut dist: Vec<(u64, u32)> = vec![(u64::MAX, u32::MAX); n];
-        let mut prev: Vec<Option<usize>> = vec![None; n]; // link used to reach node
-        let mut heap = BinaryHeap::new();
-        dist[src.index()] = (0, 0);
-        heap.push(Reverse(((0u64, 0u32), src)));
-        while let Some(Reverse((cost, node))) = heap.pop() {
-            if cost > dist[node.index()] {
+        scratch.begin(self.nodes.len());
+        scratch.reach(src, (0, 0), usize::MAX);
+        scratch.heap.push(Reverse(((0u64, 0u32), src)));
+        while let Some(Reverse((cost, node))) = scratch.heap.pop() {
+            if cost > scratch.dist(node) {
                 continue;
             }
             if node == dst {
@@ -226,21 +327,22 @@ impl Platform {
             for &(link_idx, next) in &self.adj[node.index()] {
                 let link = &self.links[link_idx];
                 let cand = (cost.0.saturating_add(link.latency.as_nanos()), cost.1 + 1);
-                if cand < dist[next.index()] {
-                    dist[next.index()] = cand;
-                    prev[next.index()] = Some(link_idx);
-                    heap.push(Reverse((cand, next)));
+                if cand < scratch.dist(next) {
+                    scratch.reach(next, cand, link_idx);
+                    if next == dst || !self.leaf[next.index()] {
+                        scratch.heap.push(Reverse((cand, next)));
+                    }
                 }
             }
         }
-        if dist[dst.index()].0 == u64::MAX {
+        if scratch.dist(dst).0 == u64::MAX {
             return None;
         }
         // Reconstruct the link sequence.
         let mut links_rev = Vec::new();
         let mut cur = dst;
         while cur != src {
-            let link_idx = prev[cur.index()]?;
+            let link_idx = scratch.prev[cur.index()];
             links_rev.push(link_idx);
             cur = self.links[link_idx].from;
         }
@@ -261,10 +363,11 @@ impl Platform {
 }
 
 /// Serialization captures only the graph (nodes, links, host table). The
-/// adjacency index, the name table and the route cache are derived data:
-/// they are rebuilt on restore, and `route_cache` restarts empty — routes
-/// are recomputed on demand by the same deterministic Dijkstra (latency,
-/// then hop count), so a restored simulation sees identical paths.
+/// adjacency index, the leaf marks, the name table, the route cache and the
+/// search scratch are derived data: they are rebuilt on restore, and
+/// `route_cache` restarts empty — routes are recomputed on demand by the
+/// same deterministic Dijkstra (latency, then hop count), so a restored
+/// simulation sees identical paths.
 impl Serialize for Platform {
     fn to_value(&self) -> Value {
         Value::Object(vec![
@@ -296,19 +399,7 @@ impl Deserialize for Platform {
                 "Platform: host table references a node outside the graph",
             ));
         }
-        let mut adj = vec![Vec::new(); nodes.len()];
-        for (i, link) in links.iter().enumerate() {
-            adj[link.from.index()].push((i, link.to));
-        }
-        let node_of_name = nodes.iter().map(|n| (n.name.clone(), n.id)).collect();
-        Ok(Platform {
-            nodes,
-            links,
-            adj,
-            hosts,
-            node_of_name,
-            route_cache: IdMap::default(),
-        })
+        Ok(Platform::index(nodes, links, hosts))
     }
 }
 
@@ -402,19 +493,7 @@ impl PlatformBuilder {
 
     /// Finish building.
     pub fn build(self) -> Platform {
-        let mut adj = vec![Vec::new(); self.nodes.len()];
-        for (i, link) in self.links.iter().enumerate() {
-            adj[link.from.index()].push((i, link.to));
-        }
-        let node_of_name = self.nodes.iter().map(|n| (n.name.clone(), n.id)).collect();
-        Platform {
-            nodes: self.nodes,
-            links: self.links,
-            adj,
-            hosts: self.hosts,
-            node_of_name,
-            route_cache: IdMap::default(),
-        }
+        Platform::index(self.nodes, self.links, self.hosts)
     }
 }
 
@@ -487,12 +566,76 @@ mod tests {
     }
 
     #[test]
+    fn scratch_epochs_survive_wraparound() {
+        let mut p = small_platform();
+        let fresh = p.route_uncached(HostId::new(0), HostId::new(1)).unwrap();
+        // Leave stale entries behind, then wrap the epoch past zero: the
+        // stamps must be cleared, not read as current.
+        let _ = p.try_route(HostId::new(1), HostId::new(0));
+        p.scratch.epoch = u32::MAX;
+        let r = p.try_route(HostId::new(0), HostId::new(1)).unwrap();
+        assert_eq!(p.scratch.epoch, 1);
+        assert_eq!(*r, fresh);
+    }
+
+    #[test]
+    fn a_node_with_one_way_links_to_two_neighbours_is_transited() {
+        let mut b = PlatformBuilder::new();
+        let h0 = b.add_host("h0", "10.0.0.1".parse().unwrap(), HostSpec::default());
+        let h1 = b.add_host("h1", "10.0.0.2".parse().unwrap(), HostSpec::default());
+        let sw = b.add_router("sw");
+        let relay = b.add_router("relay");
+        let slow = LinkSpec::new(Bandwidth::from_gbps(1.0), SimDuration::from_millis(10));
+        let fast = LinkSpec::new(Bandwidth::from_gbps(1.0), SimDuration::from_micros(1));
+        b.add_host_link("s0", h0, sw, slow);
+        b.add_host_link("s1", h1, sw, slow);
+        let (n0, n1) = (b.node_of_host(h0), b.node_of_host(h1));
+        b.add_link("f0", n0, relay, fast);
+        b.add_link("f1", relay, n1, fast);
+        // Keep only h0 -> relay -> h1 of the fast path: `relay` then has a
+        // single out-neighbour, but two neighbours, and carries the route.
+        let v = b.build().to_value();
+        let one_way = match &v {
+            Value::Object(fields) => Value::Object(
+                fields
+                    .iter()
+                    .map(|(k, val)| match val {
+                        Value::Array(items) if k == "links" => (
+                            k.clone(),
+                            Value::Array(
+                                items
+                                    .iter()
+                                    .filter(|l| {
+                                        !matches!(
+                                            l.get("name").and_then(Value::as_str),
+                                            Some("f0:rev" | "f1:rev")
+                                        )
+                                    })
+                                    .cloned()
+                                    .collect(),
+                            ),
+                        ),
+                        _ => (k.clone(), val.clone()),
+                    })
+                    .collect(),
+            ),
+            _ => unreachable!(),
+        };
+        let mut p = Platform::from_value(&one_way).unwrap();
+        assert_eq!(p.links().len(), 6);
+        let r = p.try_route(h0, h1).unwrap();
+        assert_eq!(r.latency, SimDuration::from_micros(2), "via the relay");
+        assert_eq!(p.route_uncached(h0, h1).as_ref(), Some(&*r));
+    }
+
+    #[test]
     fn disconnected_hosts_have_no_route() {
         let mut b = PlatformBuilder::new();
         let _h0 = b.add_host("a", "10.0.0.1".parse().unwrap(), HostSpec::default());
         let _h1 = b.add_host("b", "10.0.0.2".parse().unwrap(), HostSpec::default());
-        let p = b.build();
+        let mut p = b.build();
         assert!(p.route_uncached(HostId::new(0), HostId::new(1)).is_none());
+        assert!(p.try_route(HostId::new(0), HostId::new(1)).is_none());
     }
 
     #[test]

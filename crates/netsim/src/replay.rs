@@ -615,12 +615,12 @@ impl ReplaySession {
     /// Rebuild a session from an envelope produced by
     /// [`ReplaySession::checkpoint`].
     pub fn restore(v: &Value) -> Result<Self, CheckpointError> {
-        let restored = checkpoint::decode::<Ev>(v)?;
-        let fields = restored.world.as_object().ok_or_else(|| {
+        let (net, sched, world) = checkpoint::decode_state::<Ev>(v)?;
+        let fields = world.and_then(Value::as_object).ok_or_else(|| {
             CheckpointError::Format("replay session world slot is not an object".to_owned())
         })?;
         let procs: Vec<Proc> = serde::field(fields, "procs", "ReplaySession")?;
-        let hosts = restored.network.platform().host_count();
+        let hosts = net.platform().host_count();
         let ranks = procs.len();
         let bad = |i: usize, what: String| {
             Err(CheckpointError::Format(format!(
@@ -671,25 +671,21 @@ impl ReplaySession {
                 )));
             }
         }
-        if let Some(token) = restored
-            .network
-            .flow_tokens()
-            .find(|t| !token_info.contains_key(t))
-        {
+        if let Some(token) = net.flow_tokens().find(|t| !token_info.contains_key(t)) {
             return Err(CheckpointError::Format(format!(
                 "a flow in flight carries token {token}, which names no message"
             )));
         }
         Ok(ReplaySession {
             world: ReplayWorld {
-                net: restored.network,
+                net,
                 procs,
                 protocol: serde::field(fields, "protocol", "ReplaySession")?,
                 token_info,
                 next_token,
                 messages_sent: serde::field(fields, "messages_sent", "ReplaySession")?,
             },
-            sched: restored.scheduler,
+            sched,
         })
     }
 

@@ -234,8 +234,8 @@ impl StreamSession {
     /// Rebuild a session from an envelope produced by
     /// [`StreamSession::checkpoint`].
     pub fn restore(v: &Value) -> Result<Self, CheckpointError> {
-        let restored = checkpoint::decode::<StreamEvent>(v)?;
-        let deliveries = match restored.world.as_object() {
+        let (net, sched, world) = checkpoint::decode_state::<StreamEvent>(v)?;
+        let deliveries = match world.and_then(Value::as_object) {
             Some(fields) => {
                 let arr = fields
                     .iter()
@@ -253,8 +253,8 @@ impl StreamSession {
             None => Vec::new(),
         };
         Ok(StreamSession {
-            net: restored.network,
-            sched: restored.scheduler,
+            net,
+            sched,
             deliveries,
         })
     }
