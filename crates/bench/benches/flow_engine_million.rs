@@ -15,7 +15,7 @@
 //!   replacement flow on their pair. Equal-size flows on a pair complete in
 //!   the same simulated instant, so the drain is completion-heavy — the
 //!   calendar-queue scheduler's target shape;
-//! * engine: the default [`netsim::EngineConfig`].
+//! * engine: [`Network::new`] — the one serial flush, which has no options.
 //!
 //! Besides wall clock, the bench records telemetry through the criterion
 //! shim's metric lines (`{"id":…,"metric":…,"value":…}`):

@@ -12,7 +12,7 @@
 //!   from-scratch rebalances, global version counter — O(F) reschedules per
 //!   flow event. Skipped above 1000 flows (it is quadratic in flow events
 //!   and takes minutes there).
-//! * `warm` — the engine at the default [`EngineConfig`]: batched
+//! * `warm` — the incremental engine: batched, serial
 //!   dirty-component flushes whose component fills resume from their
 //!   persisted bottleneck records instead of replaying from round zero.
 //!
@@ -22,17 +22,14 @@
 //! component, skewed so the churning cohort resumes above a 9600-flow
 //! recorded prefix.
 //!
-//! The multi-component scenario (`flow_engine_multi`, 10 000 flows over a
-//! 16-tree [`dslam_forest`]) concentrates churn in one tree while 15 others
-//! carry long-lived background traffic: each flush touches one tree's
-//! component.
-//!
-//! The pool scenario (`flow_engine_parallel`, 10 000 flows over a 16-tree
-//! [`dslam_forest_mirrored`]) puts arrivals and departures in lock-step
-//! across all 16 trees, so every batched flush spans 16 dirty components —
-//! the shape the worker pool dispatches. The engine is swept over worker
-//! budgets (1, 2, 4, 8); `bench_gate` compares the best pooled run against
-//! the one-worker run.
+//! The multi-component scenarios (`flow_engine_multi`, 10 000 flows over a
+//! 16-tree forest) cover both ends of the component spread.
+//! `warm_forest_churn` ([`dslam_forest`]) concentrates churn in one tree
+//! while 15 others carry long-lived background traffic: each flush touches
+//! one tree's component. `warm_mirror_churn` ([`dslam_forest_mirrored`])
+//! puts arrivals and departures in lock-step across all 16 trees, so every
+//! batched flush spans 16 dirty components, each resuming from its own
+//! record.
 //!
 //! Recorded reference numbers live in `BENCH_flow_engine.json` at the
 //! repository root (regenerate with `CRITERION_SHIM_JSON=... cargo bench
@@ -41,8 +38,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use netsim::baseline::BaselineNetwork;
 use netsim::{
-    daisy_xdsl, dslam_forest, dslam_forest_mirrored, EngineConfig, HostSpec, LinkSpec, NetEvent,
-    NetWorldEvent, Network, Platform, PlatformBuilder, Scheduler, SharingMode, Topology,
+    daisy_xdsl, dslam_forest, dslam_forest_mirrored, HostSpec, LinkSpec, NetEvent, NetWorldEvent,
+    Network, Platform, PlatformBuilder, Scheduler, SharingMode, Topology,
 };
 use p2p_common::{Bandwidth, DataSize, HostId, SimDuration};
 
@@ -102,14 +99,10 @@ fn flow_list(hosts: usize, flows: usize) -> Vec<(HostId, HostId, DataSize)> {
         .collect()
 }
 
-/// Run the workload through the incremental engine under `config`;
-/// returns delivered count.
-fn run_incremental(
-    platform: Platform,
-    config: EngineConfig,
-    flows: &[(HostId, HostId, DataSize)],
-) -> u64 {
-    let mut net = Network::with_config(platform, SharingMode::MaxMinFair, config);
+/// Run the workload through the incremental engine; returns delivered
+/// count.
+fn run_incremental(platform: Platform, flows: &[(HostId, HostId, DataSize)]) -> u64 {
+    let mut net = Network::new(platform, SharingMode::MaxMinFair);
     let mut sched: Scheduler<Ev> = Scheduler::new();
     for (i, &(src, dst, size)) in flows.iter().enumerate() {
         net.start_flow(&mut sched, src, dst, size, i as u64);
@@ -162,7 +155,6 @@ fn run_baseline(platform: Platform, flows: &[(HostId, HostId, DataSize)]) -> u64
 }
 
 fn bench_flow_engine(c: &mut Criterion) {
-    let warm = EngineConfig::default();
     let mut group = c.benchmark_group("flow_engine");
     group.sample_size(10);
     for &n_flows in &[10usize, 100, 1000] {
@@ -173,7 +165,7 @@ fn bench_flow_engine(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("warm_star", n_flows),
             &flows,
-            |b, flows| b.iter(|| run_incremental(star_platform.clone(), warm, flows)),
+            |b, flows| b.iter(|| run_incremental(star_platform.clone(), flows)),
         );
         group.bench_with_input(
             BenchmarkId::new("baseline_star", n_flows),
@@ -189,7 +181,7 @@ fn bench_flow_engine(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("warm_dslam", n_flows),
             &dslam_flows,
-            |b, flows| b.iter(|| run_incremental(topo.platform.clone(), warm, flows)),
+            |b, flows| b.iter(|| run_incremental(topo.platform.clone(), flows)),
         );
         group.bench_with_input(
             BenchmarkId::new("baseline_dslam", n_flows),
@@ -215,7 +207,7 @@ fn bench_flow_engine(c: &mut Criterion) {
     churn.bench_with_input(
         BenchmarkId::new("warm_dslam_churn", n_flows),
         &churn_flows,
-        |b, flows| b.iter(|| run_incremental(topo.platform.clone(), warm, flows)),
+        |b, flows| b.iter(|| run_incremental(topo.platform.clone(), flows)),
     );
     // The same single coupled component, but skewed — 9600 static heavy
     // flows pin the low saturation levels while 400 small flows churn at
@@ -243,28 +235,21 @@ fn bench_flow_engine(c: &mut Criterion) {
     multi.bench_with_input(
         BenchmarkId::new("warm_forest_churn", multi_flows.len()),
         &multi_flows,
-        |b, flows| b.iter(|| run_incremental(forest.platform.clone(), warm, flows)),
+        |b, flows| b.iter(|| run_incremental(forest.platform.clone(), flows)),
+    );
+    // 10k flows mirrored across a 16-tree replica forest — identical trees,
+    // identical per-tree flow pattern, so every arrival and departure
+    // happens in all 16 trees at the same instant and every flush spans 16
+    // dirty components.
+    let mirror = dslam_forest_mirrored(16, 64, HostSpec::default(), 42);
+    let mirror_flows = mirrored_workload(&mirror, n_flows);
+    assert_eq!(mirror_flows.len(), n_flows);
+    multi.bench_with_input(
+        BenchmarkId::new("warm_mirror_churn", n_flows),
+        &mirror_flows,
+        |b, flows| b.iter(|| run_incremental(mirror.platform.clone(), flows)),
     );
     multi.finish();
-
-    // Worker pool: 10k flows mirrored across a 16-tree replica forest —
-    // identical trees, identical per-tree flow pattern, so every arrival
-    // and departure happens in all 16 trees at the same instant and every
-    // flush spans 16 dirty components. Swept over the worker budget.
-    let mut par = c.benchmark_group("flow_engine_parallel");
-    par.sample_size(5);
-    let mirror = dslam_forest_mirrored(16, 64, HostSpec::default(), 42);
-    let par_flows = mirrored_workload(&mirror, n_flows);
-    assert_eq!(par_flows.len(), n_flows);
-    for threads in [1usize, 2, 4, 8] {
-        let config = EngineConfig::default().workers(threads);
-        par.bench_with_input(
-            BenchmarkId::new(format!("parallel_mirror_churn_t{threads}"), n_flows),
-            &par_flows,
-            |b, flows| b.iter(|| run_incremental(mirror.platform.clone(), config, flows)),
-        );
-    }
-    par.finish();
 }
 
 /// The mirrored-churn workload: the same index-derived intra-tree flow

@@ -183,53 +183,6 @@ fn main() -> ExitCode {
             }
         }
     }
-    // Parallel-speedup gate: on a multi-core runner the persistent pool
-    // must actually pay off — the best pooled run of the mirrored-forest
-    // sweep has to beat the one-worker run by ≥1.3×. On a single visible
-    // core the pool spawns no extra workers (the caller is the only one),
-    // so the pooled runs exercise the shard/split machinery serially and
-    // the ratio measures dispatch overhead and per-shard fill locality,
-    // not parallelism — the gate skips with the reason on record and
-    // prints the ratio as informational.
-    const PARALLEL_SPEEDUP: f64 = 1.3;
-    let t1_id = "flow_engine_parallel/parallel_mirror_churn_t1/10000";
-    let multi_ids = [
-        "flow_engine_parallel/parallel_mirror_churn_t2/10000",
-        "flow_engine_parallel/parallel_mirror_churn_t4/10000",
-        "flow_engine_parallel/parallel_mirror_churn_t8/10000",
-    ];
-    if let Some(&t1) = observed.get(t1_id) {
-        let best = multi_ids
-            .iter()
-            .filter_map(|id| observed.get(*id))
-            .fold(f64::INFINITY, |a, &b| a.min(b));
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if !best.is_finite() {
-            println!("skip     parallel-speedup gate: multi-worker sweep ids did not run");
-        } else if cores <= 1 {
-            println!(
-                "skip     parallel-speedup gate: 1 core visible — the pool spawns no \
-                 extra workers, so the ratio measures serial dispatch overhead \
-                 and shard locality, not parallelism \
-                 (best pooled/serial = {:.2}x, informational)",
-                best / t1
-            );
-        } else if t1 / best >= PARALLEL_SPEEDUP {
-            println!(
-                "ok       parallel-speedup gate: {:.2}x pooled speedup on {cores} cores \
-                 (bar {PARALLEL_SPEEDUP}x)",
-                t1 / best
-            );
-        } else {
-            println!(
-                "FAIL     parallel-speedup gate: best pooled run is only {:.2}x over the \
-                 one-worker run on {cores} cores (bar {PARALLEL_SPEEDUP}x)",
-                t1 / best
-            );
-            violations += 1;
-        }
-    }
-
     for id in observed.keys() {
         if !recorded.contains_key(id) {
             println!("new      {id:<55} not in the baseline yet (gates after regeneration)");

@@ -10,8 +10,7 @@
 //!
 //! ```text
 //! usage: simd [--checkpoint FILE | --topology cluster|lan|daisy --hosts N]
-//!             [--sharing maxmin|bottleneck] [--workers N]
-//!             [--parallel-threshold N] [--split-min N] [--seed N]
+//!             [--sharing maxmin|bottleneck] [--seed N]
 //!
 //! stdin commands (one JSON object per line):
 //!   {"cmd":"arrive","src":0,"dst":5,"bytes":125000,"token":7[,"at_ns":N]}
@@ -32,9 +31,7 @@
 //! Times are exchanged in integer nanoseconds — the simulator's native tick —
 //! so the protocol round-trips timestamps exactly.
 
-use netsim::{
-    cluster_bordeplage, daisy_xdsl, lan, EngineConfig, HostSpec, SharingMode, StreamSession,
-};
+use netsim::{cluster_bordeplage, daisy_xdsl, lan, HostSpec, SharingMode, StreamSession};
 use p2p_common::{DataSize, HostId, SimTime};
 use serde::Value;
 use std::io::{BufRead, Write};
@@ -46,7 +43,6 @@ struct Options {
     topology: String,
     hosts: usize,
     sharing: SharingMode,
-    config: EngineConfig,
     seed: u64,
 }
 
@@ -54,22 +50,20 @@ fn usage(msg: &str) -> ExitCode {
     eprintln!("simd: {msg}");
     eprintln!(
         "usage: simd [--checkpoint FILE | --topology cluster|lan|daisy --hosts N] \
-         [--sharing maxmin|bottleneck] [--workers N] \
-         [--parallel-threshold N] [--split-min N] [--seed N]"
+         [--sharing maxmin|bottleneck] [--seed N]"
     );
     ExitCode::from(2)
 }
 
-fn parse_args() -> Result<Options, String> {
+/// Parse the command-line flags (without the program name).
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Options, String> {
     let mut opts = Options {
         checkpoint: None,
         topology: "cluster".to_owned(),
         hosts: 16,
         sharing: SharingMode::MaxMinFair,
-        config: EngineConfig::default(),
         seed: 42,
     };
-    let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
         match flag.as_str() {
@@ -92,27 +86,6 @@ fn parse_args() -> Result<Options, String> {
                     other => return Err(format!("unknown sharing mode {other:?}")),
                 }
             }
-            "--workers" => {
-                opts.config = opts.config.workers(
-                    value("--workers")?
-                        .parse()
-                        .map_err(|_| "--workers needs an integer (0 = auto)".to_owned())?,
-                )
-            }
-            "--parallel-threshold" => {
-                opts.config = opts.config.parallel_threshold(
-                    value("--parallel-threshold")?
-                        .parse()
-                        .map_err(|_| "--parallel-threshold needs an integer".to_owned())?,
-                )
-            }
-            "--split-min" => {
-                opts.config = opts.config.split_min_flows(
-                    value("--split-min")?
-                        .parse()
-                        .map_err(|_| "--split-min needs an integer (0 = auto)".to_owned())?,
-                )
-            }
             other => return Err(format!("unknown flag {other:?}")),
         }
     }
@@ -130,12 +103,7 @@ fn build_session(opts: &Options) -> Result<StreamSession, String> {
         "daisy" => daisy_xdsl(opts.hosts, host, opts.seed),
         other => return Err(format!("unknown topology {other:?}")),
     };
-    opts.config.validate()?;
-    Ok(StreamSession::with_config(
-        topo.platform,
-        opts.sharing,
-        opts.config,
-    ))
+    Ok(StreamSession::new(topo.platform, opts.sharing))
 }
 
 /// Look up a field in a parsed command object.
@@ -264,7 +232,7 @@ fn step(session: &mut StreamSession, line: &str, out: &mut impl Write) -> Result
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
+    let opts = match parse_args(std::env::args().skip(1)) {
         Ok(o) => o,
         Err(e) => return usage(&e),
     };
@@ -339,6 +307,43 @@ mod tests {
         assert!(step(&mut s, line, &mut out).is_err());
         assert_eq!(s.pending(), pending, "no rejected arrival was queued");
         assert!(out.is_empty(), "rejections print nothing themselves");
+    }
+
+    fn args<'a>(line: &'a [&str]) -> impl Iterator<Item = String> + 'a {
+        line.iter().map(|a| a.to_string())
+    }
+
+    #[test]
+    fn flags_parse_into_options() {
+        let opts = parse_args(args(&[
+            "--topology",
+            "daisy",
+            "--hosts",
+            "8",
+            "--sharing",
+            "bottleneck",
+            "--seed",
+            "3",
+        ]))
+        .expect("valid flags");
+        assert_eq!(opts.topology, "daisy");
+        assert_eq!(opts.hosts, 8);
+        assert_eq!(opts.sharing, SharingMode::Bottleneck);
+        assert_eq!(opts.seed, 3);
+        assert!(opts.checkpoint.is_none());
+    }
+
+    /// The engine has no threading options: the flags that once set them
+    /// are unknown, which `main` reports with the usage text and exit
+    /// status 2.
+    #[test]
+    fn removed_engine_flags_are_unknown() {
+        for flag in ["--workers", "--parallel-threshold", "--split-min"] {
+            let err = parse_args(args(&[flag, "2"])).err().expect("rejected");
+            assert!(err.starts_with("unknown flag"), "{flag}: {err}");
+        }
+        let err = parse_args(args(&["--hosts"])).err().expect("rejected");
+        assert!(err.contains("needs a value"), "{err}");
     }
 
     /// Valid lines of every command the property below mutates.

@@ -17,13 +17,12 @@
 //!    fails deterministically, never wedging.
 //!
 //! The run is fully deterministic: identical [`RobustnessConfig`]s produce
-//! identical [`RobustnessReport`]s on every thread count (the flow engine's
-//! worker-budget invariance) — the CI matrix enforces this across
-//! `NETSIM_WORKERS` ∈ {1, 2, 8} and debug/release.
+//! identical [`RobustnessReport`]s — the CI matrix enforces this in debug
+//! and release.
 
 use netsim::{
-    dslam_forest, run_world, EngineConfig, HostSpec, NetEvent, NetStats, NetWorldEvent, Network,
-    Scheduler, SharingMode, Topology, World,
+    dslam_forest, run_world, HostSpec, NetEvent, NetStats, NetWorldEvent, Network, Scheduler,
+    SharingMode, Topology, World,
 };
 use p2p_common::{
     DataSize, HostId, IpAddr, PeerId, PeerResources, SimDuration, SimTime, TrackerId,
@@ -61,9 +60,6 @@ pub struct RobustnessConfig {
     pub horizon: SimTime,
     /// Bandwidth-sharing model for the heartbeat flows.
     pub sharing: SharingMode,
-    /// Flow-engine threading knobs (worker budget, parallel threshold,
-    /// split granularity).
-    pub config: EngineConfig,
 }
 
 impl Default for RobustnessConfig {
@@ -80,7 +76,6 @@ impl Default for RobustnessConfig {
             crash_start: SimTime::from_secs(60),
             horizon: SimTime::from_secs(180),
             sharing: SharingMode::MaxMinFair,
-            config: EngineConfig::default(),
         }
     }
 }
@@ -358,7 +353,7 @@ pub fn run_robustness_with(
     // into the network.
     let mut plan = FaultPlan::for_topology(&topo);
 
-    let mut net = Network::with_config(topo.platform, cfg.sharing, cfg.config);
+    let mut net = Network::new(topo.platform, cfg.sharing);
 
     // One peer per host, carrying its platform binding.
     let mut component_of = BTreeMap::new();
@@ -544,14 +539,6 @@ mod tests {
         let a = run_robustness(&quick());
         let b = run_robustness(&quick());
         assert_eq!(a, b);
-        // Worker-budget pinning never changes the simulated outcome.
-        let base = quick();
-        let pinned = RobustnessConfig {
-            config: base.config.workers(7).parallel_threshold(0),
-            ..base
-        };
-        let c = run_robustness(&pinned);
-        assert_eq!(a, c);
     }
 
     #[test]

@@ -77,7 +77,6 @@ pub fn predict_traces(
     let replay_cfg = ReplayConfig {
         sharing,
         protocol: config.protocol_costs(),
-        ..ReplayConfig::default()
     };
     let scripts = traces.to_replay_scripts();
     let result = replay(platform, hosts, &scripts, &replay_cfg);

@@ -9,7 +9,7 @@
 //! ```json
 //! {
 //!   "format": "netsim-checkpoint",
-//!   "version": 3,
+//!   "version": 4,
 //!   "network": { ... },
 //!   "scheduler": { ... },
 //!   "world": ...
@@ -49,11 +49,14 @@ pub const FORMAT: &str = "netsim-checkpoint";
 ///
 /// History: v1 encoded the threading knobs as separate `engine` /
 /// `shard_threads` / `parallel_min_flows` network fields; v2 replaced them
-/// with the unified `engine_config` object ([`crate::EngineConfig`]) and
+/// with one `engine_config` object and
 /// added the pool counters to `flush_stats` (`park_wakeups` always encodes
 /// as 0 — it is an OS-scheduling artifact, not simulation state); v3 drops
-/// `engine_config.engine` (one engine remains) and `flush_stats.rebuilds`.
-pub const VERSION: u64 = 3;
+/// `engine_config.engine` (one engine remains) and `flush_stats.rebuilds`;
+/// v4 drops `engine_config` (the flush is serial and has no knobs),
+/// `attached_flows` (it only fed the deleted dense-flush decision) and the
+/// pool and dense-flush counters of `flush_stats`.
+pub const VERSION: u64 = 4;
 
 /// Why a checkpoint could not be written or read back.
 #[derive(Debug)]

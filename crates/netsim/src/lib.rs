@@ -15,10 +15,8 @@
 //! * [`network`] — the flow-level communication model. Two sharing modes are
 //!   available: the classic *bottleneck* model (`T = Σ latency + size /
 //!   min-bandwidth`, SimGrid MSG's default analytic assumption) and a
-//!   *max–min fair* bandwidth-sharing model for congested scenarios.
-//! * [`pool`](mod@pool) — the persistent worker pool behind multi-component
-//!   and split fills, and [`EngineConfig`], the serializable threading
-//!   configuration (worker budget, parallel threshold, split granularity).
+//!   *max–min fair* bandwidth-sharing model for congested scenarios, whose
+//!   rates one serial, per-component, warm-start flush keeps up to date.
 //! * [`topology`] — builders for the three platforms of the paper's
 //!   evaluation: the Grid'5000 Bordeplage cluster (Stage-1), the xDSL Daisy
 //!   topology of Fig. 8 (Stage-2A) and the campus LAN (Stage-2B).
@@ -104,7 +102,6 @@ pub mod event;
 pub(crate) mod fairshare;
 pub mod network;
 pub mod platform;
-pub mod pool;
 pub mod replay;
 pub mod stream;
 pub mod topology;
@@ -115,7 +112,6 @@ pub use network::{
     Network, SharingMode,
 };
 pub use platform::{HostSpec, Link, LinkSpec, Node, NodeKind, Platform, PlatformBuilder, Route};
-pub use pool::EngineConfig;
 pub use replay::{
     replay, ProcessScript, ProtocolCosts, ReplayConfig, ReplayOp, ReplayResult, ReplaySession,
 };

@@ -71,15 +71,14 @@
 //!   *and* scheduled completions — those flows are not even walked), and
 //!   resumes progressive filling from that level with the prefix's residual
 //!   capacities restored bit-exactly from the record. Records die with
-//!   component merges (the epoch moves), with dense-flush takeovers, and
-//!   through [`Network::invalidate_fill_records`]; an invalidated component
-//!   simply fills cold once, re-recording as it goes, and produces the
+//!   component merges (the epoch moves) and through
+//!   [`Network::invalidate_fill_records`]; an invalidated component simply
+//!   fills cold once, re-recording as it goes, and produces the
 //!   bit-identical allocation.
-//! * **Worker pool** — a flush spanning several dirty components above
-//!   [`EngineConfig::parallel_threshold`] fills each component on the
-//!   persistent worker pool (`pool` module); a single oversized component
-//!   instead splits its saturation rounds across the workers. Both are
-//!   bit-identical to the serial fill at every worker budget.
+//! * **One serial flush** — every flush fills its dirty components one
+//!   after another on the calling thread, each from its own record, on one
+//!   reused set of fill tables. There is no second fill path and no engine
+//!   option: the same flow set always takes the same code.
 //!
 //! The differential suites check two things on randomised workloads:
 //! deliveries within 2 ns of [`crate::baseline`], and warm ≡ cold bit for
@@ -90,10 +89,8 @@ use crate::component::LinkComponents;
 use crate::event::Scheduler;
 use crate::fairshare::FairShareQueue;
 use crate::platform::{Platform, Route};
-use crate::pool::{EngineConfig, SplitScratch, WorkerPool};
 use p2p_common::{DataSize, FlowId, HostId, SimDuration, SimTime};
 use serde::{DeError, Deserialize, Serialize, Value};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// How concurrent flows share link capacity.
@@ -206,21 +203,9 @@ impl Default for CompactionPolicy {
 pub struct FlushStats {
     /// Dirty flushes run (rebalances that found at least one dirty link).
     pub flushes: u64,
-    /// Flushes that took the dense fast path: several dirty components
-    /// covered at least 3/4 of the attached flows (and the deferred-GC debt
-    /// was low), so no list was gathered — the flush refilled the whole
-    /// active set directly.
-    pub fast_flushes: u64,
     /// Total flows recomputed across all flushes (a from-scratch engine
     /// would have recomputed `flushes × active` instead).
     pub flushed_flows: u64,
-    /// Flushes whose component fills ran on the worker pool (only when the
-    /// flush spanned several dirty components and cleared the work
-    /// threshold).
-    pub parallel_flushes: u64,
-    /// Total component fills dispatched to workers across all parallel
-    /// flushes.
-    pub shards_dispatched: u64,
     /// Component fills that resumed from a recorded saturation prefix
     /// instead of share level zero. Cold fills — no record, or a record
     /// invalidated since — are not counted, even though they record.
@@ -234,30 +219,8 @@ pub struct FlushStats {
     /// all warm starts; `warm_resume_rounds / warm_starts` is the mean
     /// recorded-prefix depth a warm start preserved.
     pub warm_resume_rounds: u64,
-    /// Fill records dropped because a dense-flush fast path took over their
-    /// component (the dense path recomputes without per-component
-    /// attribution, so the records it bypasses can no longer describe the
-    /// last fill) or because [`Network::invalidate_fill_records`] was
-    /// called.
+    /// Fill records dropped by [`Network::invalidate_fill_records`].
     pub warm_invalidations: u64,
-    /// Task sets handed to the persistent worker pool: component-fill
-    /// fan-outs plus work-stolen split rounds. Deterministic for a given
-    /// [`EngineConfig`] — the dispatch decisions
-    /// depend on the logical worker budget, never on the machine.
-    pub flushes_dispatched: u64,
-    /// Work-stolen split rounds: saturation rounds of one oversized
-    /// component whose per-link fill was split across the pool's workers
-    /// (engaged when the bottleneck link carries at least
-    /// [`EngineConfig::split_min_flows`](crate::EngineConfig::split_min_flows)
-    /// unfixed flows). Deterministic, like `flushes_dispatched` — a split
-    /// round is counted even when the pool executes it serially for lack
-    /// of spare cores.
-    pub steals: u64,
-    /// Pool worker condvar wakeups served. **Scheduling-dependent**: varies
-    /// run to run and machine to machine, so it is excluded from
-    /// checkpoints (always restored as 0) and must never be compared across
-    /// runs. Purely an "is the pool actually parking/waking" diagnostic.
-    pub park_wakeups: u64,
 }
 
 /// Notification that a flow has been fully delivered to its destination host.
@@ -306,12 +269,11 @@ pub struct MemoryFootprint {
     /// Warm-start bytes: the per-component persisted fill records (rounds,
     /// frozen lists, residual-capacity histories) plus the arrival log.
     pub warm_bytes: usize,
-    /// Worker-pool scratch bytes: the per-claimer fill scratch
-    /// (epoch-stamped capacity tables, fair-share queues, rate buffers),
-    /// the per-component task lists and the split-fill scratch — allocated
-    /// once and reused across flushes, so the million-flow RSS gate must
-    /// see it.
-    pub pool_bytes: usize,
+    /// Flush scratch bytes: the fill tables (epoch-stamped capacity
+    /// tables, the fair-share queue, rate buffers), the per-component task
+    /// lists and the link → record-slot map — allocated once and reused
+    /// across flushes, so the million-flow RSS gate must see it.
+    pub scratch_bytes: usize,
     /// Live flows at measurement time (the divisor for bytes/flow).
     pub live_flows: usize,
 }
@@ -323,7 +285,7 @@ impl MemoryFootprint {
             + self.incidence_bytes
             + self.component_bytes
             + self.warm_bytes
-            + self.pool_bytes
+            + self.scratch_bytes
     }
 
     /// Tracked bytes per live flow. `extra_bytes` folds in structures owned
@@ -378,8 +340,6 @@ struct FlowState {
     /// boxed slice, not a `Vec`: the exact-fit allocation drops the capacity
     /// word and any growth slack from the per-flow footprint.
     link_pos: Box<[u32]>,
-    /// Scratch: epoch at which this flow's rate was fixed by the filling.
-    fixed_epoch: u64,
     /// Scratch: epoch at which this flow was gathered into a dirty flush.
     comp_epoch: u64,
     /// Scratch: rate assigned by the in-progress recomputation.
@@ -392,15 +352,12 @@ struct Slot {
     state: Option<FlowState>,
 }
 
-/// Private scratch of one fill *claimer* — the serial flush path, or one
-/// claimer of a pool dispatch: a copy of every epoch-stamped table the
-/// progressive fill writes, so a fill running on a pool worker touches no
-/// shared mutable network state. Tables are link-/slot-indexed like their
-/// `Network` counterparts and reused across fills and flushes; nothing
-/// allocates after the first flush at a given scale. A flush owns at most
-/// one scratch per claimer (one when serial, at most the pool budget when
-/// dispatched), never one per component, so its footprint does not grow
-/// with the number of dirty components.
+/// The fill tables of the flush: every epoch-stamped table the
+/// progressive fill writes, link- or slot-indexed and reused across fills
+/// and flushes, so nothing allocates after the first flush at a given
+/// scale. Every component fill of a flush runs on this one scratch in
+/// turn, so its footprint does not grow with the number of dirty
+/// components.
 #[derive(Debug, Default)]
 struct FillScratch {
     /// Monotone fill epoch of this scratch (independent of the network's).
@@ -413,7 +370,7 @@ struct FillScratch {
     link_slot: Vec<u32>,
     /// Links seeded by the current fill (deduplicated via `link_epoch`).
     touched_links: Vec<usize>,
-    /// This claimer's private bottleneck-selection queue.
+    /// The bottleneck-selection queue.
     queue: FairShareQueue,
     link_round: Vec<u64>,
     affected: Vec<usize>,
@@ -446,8 +403,8 @@ impl FillScratch {
     }
 
     /// Heap bytes held by this scratch, for
-    /// [`MemoryFootprint::pool_bytes`] — per-claimer state that persists
-    /// across flushes and would otherwise escape the RSS gate.
+    /// [`MemoryFootprint::scratch_bytes`] — state that persists across
+    /// flushes and would otherwise escape the RSS gate.
     fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.link_capacity.capacity() * size_of::<f64>()
@@ -618,10 +575,8 @@ impl FillRecord {
 /// fills start from a fresh one), the resume level, the participant flows
 /// (recorded suffix survivors plus arrivals since the record — for a cold
 /// fill, the whole gathered component) and, once the fill ran, their rates.
-/// A task owns no fill tables: it runs on the [`FillScratch`] of whichever
-/// claimer executes it, so tasks can run on worker threads while the
-/// flush's scratch stays one per claimer. Each task is exactly one
-/// component, because the record describes one.
+/// A task owns no fill tables: it runs on the flush's one [`FillScratch`].
+/// Each task is exactly one component, because the record describes one.
 #[derive(Debug, Default)]
 struct WarmTask {
     /// The component's root link.
@@ -647,7 +602,7 @@ struct WarmTask {
 impl WarmTask {
     /// Heap bytes held by this task's participant and rate lists (the
     /// record is accounted under `warm_bytes` — it lives in `warm_records`
-    /// between flushes), for [`MemoryFootprint::pool_bytes`].
+    /// between flushes), for [`MemoryFootprint::scratch_bytes`].
     fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.flows.capacity() * size_of::<u32>() + self.rates.capacity() * size_of::<f64>()
@@ -659,16 +614,9 @@ impl WarmTask {
     /// re-recording it. With `k_star == 0` and a fresh record this *is* a
     /// cold recorded fill.
     ///
-    /// KEEP IN SYNC with `fix_bottleneck_flows` (the dense-flush fill):
-    /// same seeding arithmetic, same dust rule, same link-index
-    /// tie-breaking — plus the participation guard and the record
-    /// bookkeeping. Any drift breaks the warm ≡ cold and warm vs baseline
-    /// checks in `tests/props.rs`.
-    ///
-    /// `split` carries the work-stealing machinery when this task runs
-    /// serially (see [`SplitCtx`]): rounds whose bottleneck incidence list
-    /// reaches the split threshold are fanned out across the pool's
-    /// workers, bit-identically to the serial loop.
+    /// The warm ≡ cold and warm vs baseline checks in `tests/props.rs` pin
+    /// the arithmetic: any change to the seeding, the dust rule or the
+    /// link-index tie-breaking shows there.
     fn run(
         &mut self,
         s: &mut FillScratch,
@@ -676,7 +624,6 @@ impl WarmTask {
         link_flows: &[Vec<u32>],
         links: &[crate::platform::Link],
         rec_slots: &RecordSlots,
-        mut split: Option<&mut SplitCtx<'_>>,
     ) {
         let mut rec = self.rec.take().expect("task holds its record");
         let k = self.k_star as usize;
@@ -752,86 +699,27 @@ impl WarmTask {
             let round = s.fill_round;
             s.affected.clear();
             let mut fixed = 0usize;
-            let stolen = split
-                .as_deref_mut()
-                .filter(|ctx| link_flows[bottleneck].len() >= ctx.split_min);
-            if let Some(ctx) = stolen {
-                // Work-stolen round. Phase A: workers claim chunks of the
-                // bottleneck's incidence list and record, privately, the
-                // eligible flows and per-link crossing counts.
-                let budget = ctx.pool.budget();
-                while ctx.workers.len() < budget {
-                    ctx.workers.push(SplitScratch::default());
+            for &slot_idx in &link_flows[bottleneck] {
+                let si = slot_idx as usize;
+                if s.part[si] != epoch || s.flow_fixed[si] == epoch {
+                    continue;
                 }
-                {
-                    let (part, flow_fixed) = (&s.part, &s.flow_fixed);
-                    split_scan(
-                        ctx.pool,
-                        &mut ctx.workers[..budget],
-                        &link_flows[bottleneck],
-                        split_chunk(link_flows[bottleneck].len(), budget),
-                        links.len(),
-                        slots,
-                        |si| part[si] == epoch && flow_fixed[si] != epoch,
-                    );
-                }
-                split_collect_segs(ctx.workers, budget, ctx.segs);
-                // Phase B (serial merge). Stamping the fixed flows in the
-                // chunk-sorted segment order reproduces the exact incidence
-                // order of the serial loop, so `rec.frozen` and the rate
-                // stamps are byte-identical to it.
-                for &(_, w, a, b) in ctx.segs.iter() {
-                    for &slot_idx in &ctx.workers[w as usize].fixed[a as usize..b as usize] {
-                        let si = slot_idx as usize;
-                        s.flow_fixed[si] = epoch;
-                        s.flow_rate[si] = if share < MIN_RATE { 0.0 } else { share };
-                        fixed += 1;
-                        let f = slots[si].state.as_ref().expect("participants are live");
-                        rec.frozen.push(f.id);
-                    }
-                }
-                // Capacity releases commute across workers: per link, each
-                // release is `(x - share).max(0.0)`, so applying worker 0's
-                // k₀ subtractions then worker 1's k₁ runs the same float
-                // sequence as the serial loop's k₀+k₁. Never collapse the
-                // repeat into `capacity - k·share` — that changes rounding.
-                for ws in &ctx.workers[..budget] {
-                    for &l32 in &ws.touched {
-                        let l = l32 as usize;
-                        for _ in 0..ws.link_count[l] {
-                            s.link_capacity[l] = (s.link_capacity[l] - share).max(0.0);
-                        }
-                        s.link_unfixed[l] -= ws.link_count[l];
-                        if s.link_round[l] != round {
-                            s.link_round[l] = round;
-                            s.affected.push(l);
-                        }
-                    }
-                }
-                // `s.affected` now lists links in per-worker touch order
-                // rather than the serial first-touch order; everything it
-                // feeds (one hist append per link, commutative queue-key
-                // refreshes) is order-independent, so the fill stays
-                // bit-identical.
-                *ctx.steals += 1;
-            } else {
-                for &slot_idx in &link_flows[bottleneck] {
-                    let si = slot_idx as usize;
-                    if s.part[si] != epoch || s.flow_fixed[si] == epoch {
-                        continue;
-                    }
-                    s.flow_fixed[si] = epoch;
-                    s.flow_rate[si] = if share < MIN_RATE { 0.0 } else { share };
-                    fixed += 1;
-                    let f = slots[si].state.as_ref().expect("participants are live");
-                    rec.frozen.push(f.id);
-                    for &l in &f.route.links {
-                        s.link_capacity[l] = (s.link_capacity[l] - share).max(0.0);
-                        s.link_unfixed[l] -= 1;
-                        if s.link_round[l] != round {
-                            s.link_round[l] = round;
-                            s.affected.push(l);
-                        }
+                s.flow_fixed[si] = epoch;
+                // Float cancellation in the capacity subtractions can leave
+                // a link with dust capacity; a "fair share" of dust is not a
+                // real allocation. Treat it as starvation (rate 0, no event)
+                // — the flow is revived by the next genuine rebalance —
+                // instead of scheduling a completion centuries out.
+                s.flow_rate[si] = if share < MIN_RATE { 0.0 } else { share };
+                fixed += 1;
+                let f = slots[si].state.as_ref().expect("participants are live");
+                rec.frozen.push(f.id);
+                for &l in &f.route.links {
+                    s.link_capacity[l] = (s.link_capacity[l] - share).max(0.0);
+                    s.link_unfixed[l] -= 1;
+                    if s.link_round[l] != round {
+                        s.link_round[l] = round;
+                        s.affected.push(l);
                     }
                 }
             }
@@ -879,142 +767,6 @@ impl WarmTask {
     }
 }
 
-/// Borrowed split-fill machinery handed to a *serially executing* fill:
-/// the worker pool, the per-worker scratch, the segment-merge scratch, the
-/// engagement threshold and the steal counter. Only serial fills receive
-/// one — a fill already running inside a pool dispatch passes `None`: the
-/// pool is busy with that dispatch, so a nested split could only run
-/// serially on the worker anyway.
-struct SplitCtx<'a> {
-    pool: &'a mut WorkerPool,
-    workers: &'a mut Vec<SplitScratch>,
-    segs: &'a mut Vec<(u32, u32, u32, u32)>,
-    /// Minimum bottleneck incidence-list length for a round to be split.
-    split_min: usize,
-    steals: &'a mut u64,
-}
-
-/// Pair each claimer scratch with a contiguous group of `tasks`, cutting
-/// the groups so each carries about an equal share of the participants
-/// (`total` across all tasks; each task also weighs one, so empty tasks
-/// still spread). Every group holds at least one task, so `tasks` must be
-/// at least as long as `scratch`. Grouping only decides where fills run:
-/// each fill is a pure function of its component, whatever scratch it uses.
-fn claimer_groups<'a>(
-    scratch: &'a mut [FillScratch],
-    mut tasks: &'a mut [WarmTask],
-    total: usize,
-) -> Vec<(&'a mut FillScratch, &'a mut [WarmTask])> {
-    let claimers = scratch.len();
-    debug_assert!(claimers >= 1 && tasks.len() >= claimers);
-    let weight = total + tasks.len();
-    let mut groups = Vec::with_capacity(claimers);
-    let mut acc = 0usize;
-    for (g, s) in scratch.iter_mut().enumerate() {
-        let later = claimers - g - 1;
-        let len = if later == 0 {
-            tasks.len()
-        } else {
-            // Cut once the running weight reaches this group's share, but
-            // leave at least one task for each later claimer.
-            let target = weight * (g + 1) / claimers;
-            let mut len = 0;
-            while len < tasks.len() - later && (len == 0 || acc < target) {
-                acc += tasks[len].flows.len() + 1;
-                len += 1;
-            }
-            len
-        };
-        let (group, rest) = std::mem::take(&mut tasks).split_at_mut(len);
-        groups.push((s, group));
-        tasks = rest;
-    }
-    groups
-}
-
-/// Chunk size of a split round: a pure function of the incidence-list
-/// length and the *logical* worker budget, never of the physical thread
-/// count — so the chunk boundaries (and hence the merged order) are
-/// identical on every machine with the same [`EngineConfig`]. Four chunks
-/// per worker gives the claiming loop slack to balance uneven eligibility
-/// density; the floor keeps chunks worth their claim overhead.
-fn split_chunk(len: usize, budget: usize) -> usize {
-    len.div_ceil(budget * 4).max(16)
-}
-
-/// Phase A of one work-stolen split round: workers claim fixed-size chunks
-/// of the bottleneck's incidence list from a shared cursor and record — in
-/// private scratch only — which flows they would fix and how many of them
-/// cross each link. Shared state (`slots`, the eligibility tables behind
-/// `eligible`) is read immutably; nothing global is written, so the claim
-/// order is free to vary run to run without affecting the result.
-fn split_scan<E>(
-    pool: &mut WorkerPool,
-    workers: &mut [SplitScratch],
-    list: &[u32],
-    chunk: usize,
-    link_count: usize,
-    slots: &[Slot],
-    eligible: E,
-) where
-    E: Fn(usize) -> bool + Sync,
-{
-    for ws in workers.iter_mut() {
-        ws.ensure_links(link_count);
-        ws.begin_round();
-    }
-    let n_chunks = list.len().div_ceil(chunk);
-    let cursor = AtomicUsize::new(0);
-    pool.for_each_mut(workers, |ws| loop {
-        let c = cursor.fetch_add(1, Ordering::Relaxed);
-        if c >= n_chunks {
-            break;
-        }
-        let start = c * chunk;
-        let end = (start + chunk).min(list.len());
-        for &slot_idx in &list[start..end] {
-            let si = slot_idx as usize;
-            if !eligible(si) {
-                continue;
-            }
-            ws.fixed.push(slot_idx);
-            let f = slots[si].state.as_ref().expect("incident flows are live");
-            for &l in &f.route.links {
-                if ws.link_stamp[l] != ws.stamp {
-                    ws.link_stamp[l] = ws.stamp;
-                    ws.link_count[l] = 0;
-                    ws.touched.push(l as u32);
-                }
-                ws.link_count[l] += 1;
-            }
-        }
-        ws.chunk_ends.push((c as u32, ws.fixed.len() as u32));
-    });
-}
-
-/// Collect every worker's per-chunk segments of its `fixed` list as
-/// `(chunk, worker, start, end)` and sort them by chunk index. Walking the
-/// sorted segments reconstructs the *exact* incidence order of the round's
-/// fixed flows — chunks partition the list in order, and within a chunk one
-/// worker recorded the flows in list order — which is what lets phase B
-/// stamp rates and append `FillRecord::frozen` byte-identically to the
-/// serial loop.
-fn split_collect_segs(
-    workers: &[SplitScratch],
-    budget: usize,
-    segs: &mut Vec<(u32, u32, u32, u32)>,
-) {
-    segs.clear();
-    for (w, ws) in workers[..budget].iter().enumerate() {
-        let mut start = 0u32;
-        for &(c, end) in &ws.chunk_ends {
-            segs.push((c, w as u32, start, end));
-            start = end;
-        }
-    }
-    segs.sort_unstable_by_key(|&(c, _, _, _)| c);
-}
-
 /// The flow-level network simulator state.
 #[derive(Debug)]
 pub struct Network {
@@ -1029,18 +781,8 @@ pub struct Network {
     /// Per directed link (indexed like `Platform::links`): slot indices of
     /// the active flows crossing it. Maintained incrementally.
     link_flows: Vec<Vec<u32>>,
-    /// Rebalance scratch (epoch-stamped, reused across rebalances).
-    link_capacity: Vec<f64>,
-    link_unfixed: Vec<u32>,
-    link_epoch: Vec<u64>,
-    touched_links: Vec<usize>,
+    /// Flush epoch: stamps `comp_stamp` and `FlowState::comp_epoch`.
     epoch: u64,
-    /// Bottleneck-selection queue of the dense-flush fill.
-    queue: FairShareQueue,
-    /// Scratch for the links affected by one filling round (stamp + list).
-    link_round: Vec<u64>,
-    affected_links: Vec<usize>,
-    fill_round: u64,
     /// Link connectivity: union–find plus per-component flow lists,
     /// maintained on activate.
     comp: LinkComponents,
@@ -1051,27 +793,14 @@ pub struct Network {
     dirty_gen: u64,
     /// Scratch: epoch stamp per link marking already-gathered component roots.
     comp_stamp: Vec<u64>,
+    /// Scratch: the task index of each dirty root, per link (valid where
+    /// `comp_stamp` carries the flush epoch), so a dirty link or an arrival
+    /// finds its task in O(1).
+    root_task: Vec<u32>,
     /// Scratch: the distinct component roots of the current flush.
     dirty_roots: Vec<usize>,
-    /// Non-loopback active flows currently attached to `comp`.
-    attached_flows: usize,
     /// Scratch: the flow ids gathered from dirty components.
     comp_raw: Vec<FlowId>,
-    /// The engine configuration (worker budget, parallel threshold, split
-    /// granularity) — see [`Network::config`].
-    config: EngineConfig,
-    /// The persistent worker pool. `Some` exactly while the effective
-    /// worker budget is ≥ 2 and a flush has needed it (created lazily on
-    /// the first flush, rebuilt when [`Network::set_config`] changes the
-    /// budget, never serialized — a restored network re-creates it on
-    /// demand).
-    pool: Option<WorkerPool>,
-    /// Per-worker scratch of the split fill (work-stolen oversized
-    /// components); reused across flushes, grown to the budget on demand.
-    split_workers: Vec<SplitScratch>,
-    /// Scratch: `(chunk, worker, start, end)` segments of one split round's
-    /// merge, sorted by chunk to reconstruct exact incidence order.
-    split_segs: Vec<(u32, u32, u32, u32)>,
     /// Scratch: slot indices of the flows a dirty flush recomputes, ordered
     /// like `active` (so reschedules happen in the same order a full
     /// recompute would produce — equal-timestamp FIFO order is observable).
@@ -1089,13 +818,13 @@ pub struct Network {
     /// dirty-root count on demand). They hold participant and rate lists
     /// only — the fill tables live in `fill_scratch`.
     warm_tasks: Vec<WarmTask>,
-    /// Per-claimer fill scratch: entry 0 serves serial flushes, a pool
-    /// dispatch uses one entry per claimer (at most the pool budget).
-    fill_scratch: Vec<FillScratch>,
+    /// The fill tables every component fill of a flush runs on.
+    fill_scratch: FillScratch,
     /// The current warm flush's link → record-slot map.
     rec_slots: RecordSlots,
     /// Scratch: `(task index, link)` pairs grouping this flush's dirty
-    /// links by dirty root, for the resume-level computation.
+    /// links by dirty root, sorted by task, for the resume-level
+    /// computation.
     warm_dirty: Vec<(u32, u32)>,
     /// Dirty-flush telemetry (see [`Network::flush_stats`]).
     flush_stats: FlushStats,
@@ -1109,23 +838,8 @@ pub struct Network {
 }
 
 impl Network {
-    /// Wrap a platform in a network simulator with the default
-    /// [`EngineConfig`].
+    /// Wrap a platform in a network simulator.
     pub fn new(platform: Platform, mode: SharingMode) -> Self {
-        Self::with_config(platform, mode, EngineConfig::default())
-    }
-
-    /// Wrap a platform in a network simulator with an explicit
-    /// [`EngineConfig`]: worker budget, parallel threshold and split
-    /// granularity in one validated value.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `config.validate()` rejects the configuration.
-    pub fn with_config(platform: Platform, mode: SharingMode, config: EngineConfig) -> Self {
-        if let Err(e) = config.validate() {
-            panic!("invalid EngineConfig: {e}");
-        }
         let link_count = platform.links().len();
         Network {
             platform,
@@ -1135,28 +849,16 @@ impl Network {
             live_flows: 0,
             active: Vec::new(),
             link_flows: vec![Vec::new(); link_count],
-            link_capacity: vec![0.0; link_count],
-            link_unfixed: vec![0; link_count],
-            link_epoch: vec![0; link_count],
-            touched_links: Vec::new(),
             epoch: 0,
-            queue: FairShareQueue::new(),
-            link_round: vec![0; link_count],
-            affected_links: Vec::new(),
-            fill_round: 0,
             comp: LinkComponents::new(link_count),
             dirty_links: Vec::new(),
             dirty_mark: vec![0; link_count],
             dirty_gen: 1,
             comp_stamp: vec![0; link_count],
+            root_task: vec![0; link_count],
             dirty_roots: Vec::new(),
-            attached_flows: 0,
             flush_stats: FlushStats::default(),
             comp_raw: Vec::new(),
-            config,
-            pool: None,
-            split_workers: Vec::new(),
-            split_segs: Vec::new(),
             comp_flows: Vec::new(),
             warm_records: {
                 let mut v = Vec::new();
@@ -1165,7 +867,7 @@ impl Network {
             },
             warm_arrivals: Vec::new(),
             warm_tasks: Vec::new(),
-            fill_scratch: Vec::new(),
+            fill_scratch: FillScratch::default(),
             rec_slots: RecordSlots::default(),
             warm_dirty: Vec::new(),
             rebalance_pending: false,
@@ -1175,60 +877,6 @@ impl Network {
                 link_bytes: vec![0; link_count],
                 ..NetStats::default()
             },
-        }
-    }
-
-    /// The engine configuration in force.
-    pub fn config(&self) -> EngineConfig {
-        self.config
-    }
-
-    /// Replace the engine configuration. Worker budget, parallel threshold
-    /// and split granularity take effect at the next flush; a budget change
-    /// retires the current worker pool (folding its statistics into
-    /// [`FlushStats`]) and lazily builds a new one.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `config.validate()` rejects the configuration.
-    pub fn set_config(&mut self, config: EngineConfig) {
-        if let Err(e) = config.validate() {
-            panic!("invalid EngineConfig: {e}");
-        }
-        self.config = config;
-        // Retire a pool whose budget no longer matches; the next flush that
-        // wants one rebuilds it at the new budget.
-        if self
-            .pool
-            .as_ref()
-            .is_some_and(|p| p.budget() != self.config.resolved_workers())
-        {
-            self.retire_pool();
-        }
-    }
-
-    /// Fold a retiring pool's counters into the stored [`FlushStats`] so
-    /// [`Network::flush_stats`] stays cumulative across pool rebuilds.
-    fn retire_pool(&mut self) {
-        if let Some(pool) = self.pool.take() {
-            self.flush_stats.flushes_dispatched += pool.dispatches();
-            self.flush_stats.park_wakeups += pool.wakeups();
-        }
-    }
-
-    /// Make sure the pool matches the configuration: an effective budget
-    /// ≥ 2 gets one (created on first need), a budget of 1 runs poolless.
-    /// Called at flush entry — cheap when nothing changed.
-    fn ensure_pool(&mut self) {
-        let want = self.config.resolved_workers() >= 2;
-        match (&self.pool, want) {
-            (Some(pool), true) if pool.budget() == self.config.resolved_workers() => {}
-            (None, false) => {}
-            (_, true) => {
-                self.retire_pool();
-                self.pool = Some(WorkerPool::new(self.config.resolved_workers()));
-            }
-            (_, false) => self.retire_pool(),
         }
     }
 
@@ -1247,16 +895,9 @@ impl Network {
         self.compactions
     }
 
-    /// Telemetry of the engine's flushes. Pool counters (`flushes_dispatched`,
-    /// `park_wakeups`) fold in the live worker pool's totals; of these,
-    /// `park_wakeups` is scheduling-dependent — see its field docs.
+    /// Telemetry of the engine's flushes.
     pub fn flush_stats(&self) -> FlushStats {
-        let mut stats = self.flush_stats;
-        if let Some(pool) = &self.pool {
-            stats.flushes_dispatched += pool.dispatches();
-            stats.park_wakeups += pool.wakeups();
-        }
-        stats
+        self.flush_stats
     }
 
     /// Drop every component's persisted fill record, forcing the next flush
@@ -1427,7 +1068,6 @@ impl Network {
             pending_completion: false,
             active_pos: 0,
             link_pos: Box::default(),
-            fixed_epoch: 0,
             comp_epoch: 0,
             new_rate: 0.0,
         });
@@ -1546,7 +1186,6 @@ impl Network {
             .expect("flow just observed")
             .link_pos = link_pos;
         self.comp.attach(&route.links, flow);
-        self.attached_flows += 1;
         self.mark_dirty(&route.links);
         self.warm_arrivals.push(flow);
         self.request_rebalance(sched);
@@ -1594,7 +1233,6 @@ impl Network {
         // reclaims it) and its component's live count drops now.
         if !state.route.links.is_empty() {
             self.comp.detach_one(state.route.links[0]);
-            self.attached_flows -= 1;
             self.mark_dirty(&state.route.links);
         }
         let delivery = self.finish_flow(state);
@@ -1760,29 +1398,24 @@ impl Network {
         if self.dirty_links.is_empty() {
             return false;
         }
-        // Match the worker pool to the configuration before any dispatch
-        // decision reads it (no-op unless the config changed or this is the
-        // first flush).
-        self.ensure_pool();
         self.epoch += 1;
         let epoch = self.epoch;
-        // Resolve the distinct dirty component roots and count the live
-        // flows they cover, plus their deferred stale-entry debt (tracked
-        // per component root, so stale entries parked in components that
-        // never go dirty again cannot sway the dense-takeover decision).
+        // Resolve the distinct dirty component roots, one task each, and
+        // group the dirty links by task (resolving each link once).
         self.dirty_roots.clear();
-        let mut covered = 0usize;
-        let mut stale_covered = 0usize;
+        self.warm_dirty.clear();
         for i in 0..self.dirty_links.len() {
-            let root = self.comp.find(self.dirty_links[i]);
+            let l = self.dirty_links[i];
+            let root = self.comp.find(l);
             if self.comp_stamp[root] != epoch {
                 self.comp_stamp[root] = epoch;
+                self.root_task[root] = self.dirty_roots.len() as u32;
                 self.dirty_roots.push(root);
-                covered += self.comp.live_of_root(root) as usize;
-                stale_covered += self.comp.stale_of_root(root) as usize;
             }
+            self.warm_dirty.push((self.root_task[root], l as u32));
         }
-        self.flush_warm(epoch, covered, stale_covered);
+        self.warm_dirty.sort_unstable();
+        self.flush_warm(epoch);
         self.dirty_links.clear();
         self.dirty_gen += 1;
         self.warm_arrivals.clear();
@@ -1793,9 +1426,8 @@ impl Network {
     /// each resuming progressive filling from its persisted `FillRecord`
     /// when the record's component key still matches (the component has not
     /// merged since), or running a cold *recorded* fill of the gathered
-    /// component otherwise. A dense multi-component flush falls back to the
-    /// whole-active-set fast path, which cannot re-record and therefore
-    /// invalidates the covered records.
+    /// component otherwise. The tasks run one after another on the one
+    /// [`FillScratch`].
     ///
     /// The resume level k* is the minimum over the component's dirty links
     /// of two bounds (see ARCHITECTURE.md for the proofs):
@@ -1817,97 +1449,22 @@ impl Network {
     /// the current flow set would produce: its flows keep their rates and
     /// scheduled completions *without even being walked* — they are absent
     /// from `comp_flows`, which is the engine's entire speedup.
-    fn flush_warm(&mut self, epoch: u64, covered: usize, stale_covered: usize) {
+    fn flush_warm(&mut self, epoch: u64) {
         self.flush_stats.flushes += 1;
-        // A multi-component flush covering most (≥ 3/4) of the attached
-        // flows — globally coupled traffic — gains little from per-component
-        // fills, so it takes the dense takeover below unless the pool wants
-        // it or the deferred stale-entry debt needs a gather to reclaim. A
-        // single-component flush never takes the fast path: it must gather
-        // anyway to have a record to warm-start from next time, and burning
-        // the record on the very workload warm starts exist for (all churn
-        // in one component) would pin it cold forever.
-        let parallel_wanted = self.pool.is_some()
-            && self.dirty_roots.len() >= 2
-            && covered >= self.config.parallel_threshold.max(1);
-        let dense = self.dirty_roots.len() >= 2
-            && !parallel_wanted
-            && covered * 4 >= self.attached_flows * 3
-            && stale_covered * 2 <= covered;
-        if dense {
-            // Dense takeover: recompute the whole active set on the shared
-            // scratch. The takeover has no per-component view, so it cannot
-            // append to the records — keeping them would let a later warm
-            // start resume from a sequence describing a flow set that no
-            // longer exists. (Clean components' records stay: their flow
-            // sets did not change, so they still equal a cold fill.)
-            for i in 0..self.dirty_roots.len() {
-                let root = self.dirty_roots[i];
-                if self.warm_records[root].take().is_some() {
-                    self.flush_stats.warm_invalidations += 1;
-                }
-            }
-            self.flush_stats.fast_flushes += 1;
-            self.comp_flows.clear();
-            for i in 0..self.active.len() {
-                let slot_idx = self.active[i];
-                let f = self.slots[slot_idx as usize]
-                    .state
-                    .as_ref()
-                    .expect("active flows are live");
-                if !f.route.links.is_empty() {
-                    self.comp_flows.push(slot_idx);
-                }
-            }
-            self.touched_links.clear();
-            let mut unfixed_flows = 0usize;
-            for i in 0..self.comp_flows.len() {
-                let slot_idx = self.comp_flows[i] as usize;
-                let f = self.slots[slot_idx]
-                    .state
-                    .as_mut()
-                    .expect("gathered flows are live");
-                f.new_rate = 0.0;
-                f.fixed_epoch = 0;
-                unfixed_flows += 1;
-                let route = Arc::clone(&f.route);
-                for &l in &route.links {
-                    if self.link_epoch[l] != epoch {
-                        self.link_epoch[l] = epoch;
-                        self.link_capacity[l] = self.platform.links()[l].bandwidth.bytes_per_sec();
-                        self.link_unfixed[l] = 0;
-                        self.touched_links.push(l);
-                    }
-                    self.link_unfixed[l] += 1;
-                }
-            }
-            self.flush_stats.flushed_flows += unfixed_flows as u64;
-            self.fill_by_bucket_queue(epoch, unfixed_flows);
-            return;
-        }
         let n_tasks = self.dirty_roots.len();
         while self.warm_tasks.len() < n_tasks {
             self.warm_tasks.push(WarmTask::default());
-        }
-        // Group the dirty links by owning task, resolving each once (the
-        // root scan is linear in the dirty-root count, which a flush this
-        // path handles keeps small).
-        self.warm_dirty.clear();
-        for i in 0..self.dirty_links.len() {
-            let l = self.dirty_links[i];
-            let root = self.comp.find(l);
-            let t = self
-                .dirty_roots
-                .iter()
-                .position(|&r| r == root)
-                .expect("dirty roots cover every dirty link");
-            self.warm_dirty.push((t as u32, l as u32));
         }
         // One map generation covers every record of the flush (they belong
         // to distinct components, so their links are disjoint).
         self.rec_slots.begin(self.link_flows.len());
         let mut total = 0usize;
+        // `warm_dirty` is sorted by task, and every task has a dirty link.
+        let mut dirty_start = 0usize;
         for t in 0..n_tasks {
+            let dirty_end = self.warm_dirty.partition_point(|&(ti, _)| ti as usize <= t);
+            let dirty = dirty_start..dirty_end;
+            dirty_start = dirty_end;
             let root = self.dirty_roots[t];
             let mut task = std::mem::take(&mut self.warm_tasks[t]);
             task.root = root as u32;
@@ -1965,11 +1522,7 @@ impl Network {
                 let rec = task.rec.as_ref().expect("warm tasks hold records");
                 self.rec_slots.load(rec);
                 let mut k = rec.rounds.len();
-                for wi in 0..self.warm_dirty.len() {
-                    let (ti, l) = self.warm_dirty[wi];
-                    if ti as usize != t {
-                        continue;
-                    }
+                for &(_, l) in &self.warm_dirty[dirty] {
                     let l = l as usize;
                     let n_new = self.link_flows[l].len() as u32;
                     if let Some(rs) = self.rec_slots.get(l) {
@@ -2039,87 +1592,25 @@ impl Network {
                 continue;
             };
             debug_assert!(!f.route.links.is_empty(), "loopback flows are not logged");
-            let first = f.route.links[0];
-            let root = self.comp.find(first);
-            let t = self
-                .dirty_roots
-                .iter()
-                .position(|&r| r == root)
-                .expect("an arrival's component is dirty");
-            let task = &mut self.warm_tasks[t];
+            let root = self.comp.find(f.route.links[0]);
+            debug_assert_eq!(
+                self.comp_stamp[root], epoch,
+                "an arrival's component is dirty"
+            );
+            let task = &mut self.warm_tasks[self.root_task[root] as usize];
             if task.warm {
                 task.flows.push(id.slot());
                 total += 1;
             }
         }
-        // Dispatch the tasks on the persistent pool when the flush spans
-        // several components and clears the work threshold. Each task is
-        // one component, and bit-identity
-        // holds at every worker budget because each fill is a pure function
-        // of its component's flow set and record. Serially-run tasks (a
-        // single component, or a below-threshold flush) instead get the
-        // split-fill context: an oversized component's saturation rounds
-        // are then work-stolen across the pool's workers. (The two are
-        // mutually exclusive per flush: a task running *on* a pool worker
-        // must not dispatch to the pool it is running on.)
-        let parallel =
-            self.pool.is_some() && n_tasks >= 2 && total >= self.config.parallel_threshold.max(1);
-        // Fill scratch is per claimer: one for a serial flush, one per
-        // claimer (at most the budget) for a pool dispatch.
-        let claimers = match &self.pool {
-            Some(pool) if parallel => n_tasks.min(pool.budget()),
-            _ => 1,
-        };
-        while self.fill_scratch.len() < claimers {
-            self.fill_scratch.push(FillScratch::default());
-        }
-        let mut tasks = std::mem::take(&mut self.warm_tasks);
-        let mut pool = self.pool.take();
-        let mut split_workers = std::mem::take(&mut self.split_workers);
-        let mut split_segs = std::mem::take(&mut self.split_segs);
-        let mut steals = 0u64;
-        {
-            let slots = &self.slots;
-            let link_flows = &self.link_flows;
-            let links = self.platform.links();
-            let rec_slots = &self.rec_slots;
-            if parallel {
-                // Each claimer gets its own scratch and a contiguous group
-                // of tasks, balanced by participant count.
-                let pool = pool.as_mut().expect("parallel warm flushes have a pool");
-                let mut groups = claimer_groups(
-                    &mut self.fill_scratch[..claimers],
-                    &mut tasks[..n_tasks],
-                    total,
-                );
-                pool.for_each_mut(&mut groups, |(s, group)| {
-                    for task in group.iter_mut() {
-                        task.run(s, slots, link_flows, links, rec_slots, None);
-                    }
-                });
-            } else {
-                let split_min = self.config.resolved_split_min();
-                let mut split = pool.as_mut().map(|pool| SplitCtx {
-                    pool,
-                    workers: &mut split_workers,
-                    segs: &mut split_segs,
-                    split_min,
-                    steals: &mut steals,
-                });
-                let s = &mut self.fill_scratch[0];
-                for task in &mut tasks[..n_tasks] {
-                    task.run(s, slots, link_flows, links, rec_slots, split.as_mut());
-                }
-            }
-        }
-        self.warm_tasks = tasks;
-        self.pool = pool;
-        self.split_workers = split_workers;
-        self.split_segs = split_segs;
-        self.flush_stats.steals += steals;
-        if parallel {
-            self.flush_stats.parallel_flushes += 1;
-            self.flush_stats.shards_dispatched += n_tasks as u64;
+        for task in &mut self.warm_tasks[..n_tasks] {
+            task.run(
+                &mut self.fill_scratch,
+                &self.slots,
+                &self.link_flows,
+                self.platform.links(),
+                &self.rec_slots,
+            );
         }
         // Merge: store the refreshed records, apply the participant rates
         // and order the reschedule walk like `active` — the kept prefixes'
@@ -2162,190 +1653,6 @@ impl Network {
                     .active_pos
             });
         }
-    }
-
-    /// Bucket-queue bottleneck selection: seed the monotone queue with every
-    /// touched link's fair share, then pop minima directly; each filling
-    /// round refreshes only the links its fixed flows cross. This is the
-    /// dense takeover's fill over the shared scratch.
-    ///
-    /// KEEP IN SYNC with [`WarmTask::run`] (see `fix_bottleneck_flows`).
-    fn fill_by_bucket_queue(&mut self, epoch: u64, mut unfixed_flows: usize) {
-        self.queue
-            .seed(&self.touched_links, &self.link_capacity, &self.link_unfixed);
-        let mut affected = std::mem::take(&mut self.affected_links);
-        // Split machinery: rounds whose bottleneck incidence list reaches
-        // the split threshold are fanned out across the pool (when one is
-        // active), bit-identically to `fix_bottleneck_flows`.
-        let mut pool = self.pool.take();
-        let mut split_workers = std::mem::take(&mut self.split_workers);
-        let mut split_segs = std::mem::take(&mut self.split_segs);
-        let split_min = self.config.resolved_split_min();
-        while unfixed_flows > 0 {
-            let Some((bottleneck, share)) = self.queue.pop_min() else {
-                break;
-            };
-            // Collect the links crossed by this round's fixed flows, once
-            // each (round-stamped), then refresh their queue keys.
-            affected.clear();
-            unfixed_flows -= match pool.as_mut() {
-                Some(pool) if self.link_flows[bottleneck].len() >= split_min => self.fix_split(
-                    pool,
-                    &mut split_workers,
-                    &mut split_segs,
-                    epoch,
-                    bottleneck,
-                    share,
-                    &mut affected,
-                ),
-                _ => self.fix_bottleneck_flows(epoch, bottleneck, share, &mut affected),
-            };
-            for &l in &affected {
-                if l == bottleneck {
-                    continue; // popped above; its unfixed count drops to 0
-                }
-                let n = self.link_unfixed[l];
-                if n == 0 {
-                    self.queue.remove(l);
-                } else {
-                    self.queue.set(l, self.link_capacity[l] / n as f64);
-                }
-            }
-        }
-        self.queue.clear();
-        self.affected_links = affected;
-        self.pool = pool;
-        self.split_workers = split_workers;
-        self.split_segs = split_segs;
-    }
-
-    /// Fix every unfixed flow crossing `bottleneck` at `share`, releasing
-    /// that much capacity on each link those flows cross. Returns the number
-    /// of flows fixed. Every link whose capacity or count changed is
-    /// collected into `affected` exactly once (round-stamped) so the bucket
-    /// queue can refresh just those keys.
-    ///
-    /// KEEP IN SYNC with [`WarmTask::run`], which inlines this arithmetic
-    /// against task-local scratch: any change to the dust rule, the
-    /// capacity subtraction or the affected-link collection must be
-    /// mirrored there, or the dense takeover's bit-identity to the
-    /// per-component fill breaks (the warm ≡ cold property in
-    /// `tests/props.rs` is the tripwire).
-    fn fix_bottleneck_flows(
-        &mut self,
-        epoch: u64,
-        bottleneck: usize,
-        share: f64,
-        affected: &mut Vec<usize>,
-    ) -> usize {
-        self.fill_round += 1;
-        let round = self.fill_round;
-        let mut fixed = 0usize;
-        for i in 0..self.link_flows[bottleneck].len() {
-            let slot_idx = self.link_flows[bottleneck][i] as usize;
-            let f = self.slots[slot_idx]
-                .state
-                .as_mut()
-                .expect("incident flows are live");
-            if f.fixed_epoch == epoch {
-                continue;
-            }
-            f.fixed_epoch = epoch;
-            // Float cancellation in the capacity subtractions can leave a
-            // link with dust capacity; a "fair share" of dust is not a
-            // real allocation. Treat it as starvation (rate 0, no event)
-            // — the flow is revived by the next genuine rebalance —
-            // instead of scheduling a completion centuries out.
-            f.new_rate = if share < MIN_RATE { 0.0 } else { share };
-            fixed += 1;
-            let route = Arc::clone(&f.route);
-            for &l in &route.links {
-                self.link_capacity[l] = (self.link_capacity[l] - share).max(0.0);
-                self.link_unfixed[l] -= 1;
-                if self.link_round[l] != round {
-                    self.link_round[l] = round;
-                    affected.push(l);
-                }
-            }
-        }
-        fixed
-    }
-
-    /// Work-stolen variant of [`Network::fix_bottleneck_flows`]: phase A
-    /// fans the bottleneck's incidence scan out across the pool's workers
-    /// (chunk claiming from a shared cursor, results in private
-    /// [`SplitScratch`]), phase B merges serially in exact incidence order.
-    /// Bit-identical to the serial fix at every worker budget — see
-    /// [`split_scan`] / [`split_collect_segs`] for the order argument and
-    /// the capacity-release commutativity note in [`WarmTask::run`].
-    ///
-    /// KEEP IN SYNC with `fix_bottleneck_flows`: same dust rule, same
-    /// subtraction form, same affected-link collection.
-    #[allow(clippy::too_many_arguments)]
-    fn fix_split(
-        &mut self,
-        pool: &mut WorkerPool,
-        workers: &mut Vec<SplitScratch>,
-        segs: &mut Vec<(u32, u32, u32, u32)>,
-        epoch: u64,
-        bottleneck: usize,
-        share: f64,
-        affected: &mut Vec<usize>,
-    ) -> usize {
-        let budget = pool.budget();
-        while workers.len() < budget {
-            workers.push(SplitScratch::default());
-        }
-        {
-            let list = &self.link_flows[bottleneck];
-            let slots = &self.slots;
-            split_scan(
-                pool,
-                &mut workers[..budget],
-                list,
-                split_chunk(list.len(), budget),
-                self.link_flows.len(),
-                slots,
-                |si| {
-                    slots[si]
-                        .state
-                        .as_ref()
-                        .expect("incident flows are live")
-                        .fixed_epoch
-                        != epoch
-                },
-            );
-        }
-        split_collect_segs(workers, budget, segs);
-        self.fill_round += 1;
-        let round = self.fill_round;
-        let mut fixed = 0usize;
-        for &(_, w, a, b) in segs.iter() {
-            for &slot_idx in &workers[w as usize].fixed[a as usize..b as usize] {
-                let f = self.slots[slot_idx as usize]
-                    .state
-                    .as_mut()
-                    .expect("incident flows are live");
-                f.fixed_epoch = epoch;
-                f.new_rate = if share < MIN_RATE { 0.0 } else { share };
-                fixed += 1;
-            }
-        }
-        for ws in &workers[..budget] {
-            for &l32 in &ws.touched {
-                let l = l32 as usize;
-                for _ in 0..ws.link_count[l] {
-                    self.link_capacity[l] = (self.link_capacity[l] - share).max(0.0);
-                }
-                self.link_unfixed[l] -= ws.link_count[l];
-                if self.link_round[l] != round {
-                    self.link_round[l] = round;
-                    affected.push(l);
-                }
-            }
-        }
-        self.flush_stats.steals += 1;
-        fixed
     }
 
     /// Apply the [`CompactionPolicy`] decision once: compact if — and only
@@ -2419,6 +1726,7 @@ impl Network {
             + self.dirty_links.capacity() * size_of::<usize>()
             + self.dirty_mark.capacity() * size_of::<u64>()
             + self.comp_stamp.capacity() * size_of::<u64>()
+            + self.root_task.capacity() * size_of::<u32>()
             + self.dirty_roots.capacity() * size_of::<usize>()
             + self.comp_raw.capacity() * size_of::<FlowId>()
             + self.comp_flows.capacity() * size_of::<u32>();
@@ -2430,32 +1738,21 @@ impl Network {
                 .map(|r| r.heap_bytes())
                 .sum::<usize>()
             + self.warm_arrivals.capacity() * size_of::<FlowId>();
-        let pool_bytes = self.warm_tasks.capacity() * size_of::<WarmTask>()
+        let scratch_bytes = self.warm_tasks.capacity() * size_of::<WarmTask>()
             + self
                 .warm_tasks
                 .iter()
                 .map(WarmTask::heap_bytes)
                 .sum::<usize>()
-            + self.fill_scratch.capacity() * size_of::<FillScratch>()
-            + self
-                .fill_scratch
-                .iter()
-                .map(FillScratch::heap_bytes)
-                .sum::<usize>()
+            + self.fill_scratch.heap_bytes()
             + self.rec_slots.heap_bytes()
-            + self.split_workers.capacity() * size_of::<SplitScratch>()
-            + self
-                .split_workers
-                .iter()
-                .map(SplitScratch::heap_bytes)
-                .sum::<usize>()
-            + self.split_segs.capacity() * size_of::<(u32, u32, u32, u32)>();
+            + self.warm_dirty.capacity() * size_of::<(u32, u32)>();
         MemoryFootprint {
             slab_bytes,
             incidence_bytes,
             component_bytes,
             warm_bytes,
-            pool_bytes,
+            scratch_bytes,
             live_flows: self.live_flows,
         }
     }
@@ -2561,7 +1858,6 @@ fn flow_from_value(v: &Value, platform: &mut Platform) -> Result<FlowState, DeEr
         pending_completion: serde::field(fields, "pending_completion", "FlowState")?,
         active_pos: serde::field(fields, "active_pos", "FlowState")?,
         link_pos: link_pos.into_boxed_slice(),
-        fixed_epoch: 0,
         comp_epoch: 0,
         new_rate: 0.0,
     })
@@ -2572,7 +1868,7 @@ fn flow_from_value(v: &Value, platform: &mut Platform) -> Result<FlowState, DeEr
 /// link→flow incidence lists, the union–find component index verbatim (the
 /// partition is history-dependent and the warm records key on its roots),
 /// the pending dirty-link set, the per-component warm-start `FillRecord`s,
-/// the arrival log, telemetry counters, and configuration — and none of the
+/// the arrival log and telemetry counters — and none of the
 /// epoch-stamped fill scratch, which is dead between events and restarts
 /// zeroed exactly as a fresh `Network` would.
 ///
@@ -2603,16 +1899,11 @@ impl Serialize for Network {
         Value::Object(vec![
             ("platform".to_owned(), self.platform.to_value()),
             ("mode".to_owned(), self.mode.to_value()),
-            ("engine_config".to_owned(), self.config.to_value()),
             ("slots".to_owned(), Value::Array(slots)),
             ("free_slots".to_owned(), self.free_slots.to_value()),
             ("active".to_owned(), self.active.to_value()),
             ("link_flows".to_owned(), self.link_flows.to_value()),
             ("comp".to_owned(), self.comp.to_value()),
-            (
-                "attached_flows".to_owned(),
-                (self.attached_flows as u64).to_value(),
-            ),
             ("dirty_links".to_owned(), self.dirty_links.to_value()),
             (
                 "rebalance_pending".to_owned(),
@@ -2620,17 +1911,7 @@ impl Serialize for Network {
             ),
             ("warm_records".to_owned(), self.warm_records.to_value()),
             ("warm_arrivals".to_owned(), self.warm_arrivals.to_value()),
-            (
-                "flush_stats".to_owned(),
-                // Fold the live pool's deterministic dispatch count in, but
-                // force `park_wakeups` — an OS-scheduling artifact — to 0 so
-                // checkpoint bytes stay a pure function of simulation state.
-                {
-                    let mut fs = self.flush_stats();
-                    fs.park_wakeups = 0;
-                    fs.to_value()
-                },
-            ),
+            ("flush_stats".to_owned(), self.flush_stats.to_value()),
             ("compaction".to_owned(), self.compaction.to_value()),
             ("compactions".to_owned(), self.compactions.to_value()),
             ("stats".to_owned(), self.stats.to_value()),
@@ -2645,11 +1926,7 @@ impl Deserialize for Network {
             .ok_or_else(|| DeError::expected("object", "Network", v))?;
         let platform: Platform = serde::field(fields, "platform", "Network")?;
         let mode: SharingMode = serde::field(fields, "mode", "Network")?;
-        let config: EngineConfig = serde::field(fields, "engine_config", "Network")?;
-        if let Err(e) = config.validate() {
-            return Err(DeError::msg(format!("Network: invalid engine_config: {e}")));
-        }
-        let mut net = Network::with_config(platform, mode, config);
+        let mut net = Network::new(platform, mode);
         let link_count = net.platform.links().len();
 
         let slots_v = fields
@@ -2702,7 +1979,6 @@ impl Deserialize for Network {
         }
         net.link_flows = link_flows;
         net.comp = serde::field(fields, "comp", "Network")?;
-        net.attached_flows = serde::field::<u64>(fields, "attached_flows", "Network")? as usize;
         let dirty_links: Vec<usize> = serde::field(fields, "dirty_links", "Network")?;
         for &l in &dirty_links {
             if l >= link_count {
@@ -3386,9 +2662,15 @@ mod tests {
         // the warm-start records once the network has flushed.
         assert!(active.component_bytes > 0);
         assert!(active.warm_bytes > 0);
+        // So does the flush scratch the fills ran on.
+        assert!(active.scratch_bytes > 0);
         assert_eq!(
             active.total_bytes(),
-            active.slab_bytes + active.incidence_bytes + active.component_bytes + active.warm_bytes
+            active.slab_bytes
+                + active.incidence_bytes
+                + active.component_bytes
+                + active.warm_bytes
+                + active.scratch_bytes
         );
         assert!(active.bytes_per_flow(0) >= active.total_bytes() as f64 / 4.0 - 1.0);
         assert!(
@@ -3420,38 +2702,5 @@ mod tests {
         run_world(&mut w, &mut sched, None);
         assert_eq!(w.deliveries.len(), 1);
         assert_eq!(w.deliveries[0].0, SimTime::MAX);
-    }
-
-    #[test]
-    fn claimer_groups_cut_tasks_in_order_by_participant_weight() {
-        let sizes = [40usize, 1, 1, 1, 30, 2, 0, 5];
-        let mut tasks: Vec<WarmTask> = sizes
-            .iter()
-            .map(|&n| WarmTask {
-                flows: vec![0; n],
-                ..WarmTask::default()
-            })
-            .collect();
-        let total = sizes.iter().sum();
-        for claimers in 1..=tasks.len() {
-            let mut scratch: Vec<FillScratch> =
-                (0..claimers).map(|_| FillScratch::default()).collect();
-            let groups = claimer_groups(&mut scratch, &mut tasks, total);
-            assert_eq!(groups.len(), claimers);
-            assert!(groups.iter().all(|(_, g)| !g.is_empty()));
-            let order: Vec<usize> = groups
-                .iter()
-                .flat_map(|(_, g)| g.iter().map(|t| t.flows.len()))
-                .collect();
-            assert_eq!(order, sizes, "groups are contiguous and cover every task");
-        }
-        // Two claimers split the weight (participants + one per task, 88)
-        // at its midpoint: 45 | 43.
-        let mut scratch = vec![FillScratch::default(), FillScratch::default()];
-        let lens: Vec<usize> = claimer_groups(&mut scratch, &mut tasks, total)
-            .iter()
-            .map(|(_, g)| g.len())
-            .collect();
-        assert_eq!(lens, [3, 5]);
     }
 }

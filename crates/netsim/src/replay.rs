@@ -27,7 +27,6 @@ use crate::checkpoint::{self, CheckpointError};
 use crate::event::{run_world, Scheduler, World};
 use crate::network::{FlowDelivery, NetEvent, NetStats, NetWorldEvent, Network, SharingMode};
 use crate::platform::Platform;
-use crate::pool::EngineConfig;
 use p2p_common::{DataSize, HostId, IdMap, SimDuration, SimTime};
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::hash_map::Entry;
@@ -115,10 +114,6 @@ pub struct ReplayConfig {
     pub sharing: SharingMode,
     /// Per-message protocol costs.
     pub protocol: ProtocolCosts,
-    /// Threading configuration for `SharingMode::MaxMinFair` (ignored under
-    /// `Bottleneck`). Simulated results are identical at every worker
-    /// budget.
-    pub config: EngineConfig,
 }
 
 impl Default for ReplayConfig {
@@ -126,7 +121,6 @@ impl Default for ReplayConfig {
         ReplayConfig {
             sharing: SharingMode::Bottleneck,
             protocol: ProtocolCosts::none(),
-            config: EngineConfig::default(),
         }
     }
 }
@@ -501,7 +495,7 @@ impl ReplaySession {
                 wait_since: SimTime::ZERO,
             })
             .collect();
-        let net = Network::with_config(platform, cfg.sharing, cfg.config);
+        let net = Network::new(platform, cfg.sharing);
         let world = ReplayWorld {
             net,
             procs,
@@ -920,7 +914,6 @@ mod tests {
         let cfg = ReplayConfig {
             sharing: SharingMode::Bottleneck,
             protocol,
-            ..ReplayConfig::default()
         };
         let res = replay(p, &hosts, &scripts, &cfg);
         // Receiver pays 2 * 50 us of protocol processing.
@@ -1003,7 +996,6 @@ mod tests {
                 send_cpu: SimDuration::from_micros(20),
                 recv_cpu: SimDuration::from_micros(20),
             },
-            ..ReplayConfig::default()
         };
 
         let mut uninterrupted = ReplaySession::new(p.clone(), &hosts, &scripts, &cfg);
@@ -1221,7 +1213,6 @@ mod tests {
         let cfg = ReplayConfig {
             sharing: SharingMode::MaxMinFair,
             protocol: ProtocolCosts::none(),
-            ..ReplayConfig::default()
         };
         let b = replay(p, &hosts, &scripts, &cfg);
         let rel =

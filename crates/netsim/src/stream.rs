@@ -41,7 +41,6 @@ use crate::checkpoint::{self, CheckpointError};
 use crate::event::Scheduler;
 use crate::network::{FlowDelivery, NetEvent, NetWorldEvent, Network, SharingMode};
 use crate::platform::Platform;
-use crate::pool::EngineConfig;
 use p2p_common::{DataSize, HostId, SimTime};
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::path::Path;
@@ -98,16 +97,10 @@ pub struct StreamSession {
 }
 
 impl StreamSession {
-    /// Create a session over `platform` with the default [`EngineConfig`].
+    /// Create a session over `platform`.
     pub fn new(platform: Platform, mode: SharingMode) -> Self {
-        Self::with_config(platform, mode, EngineConfig::default())
-    }
-
-    /// Create a session with an explicit [`EngineConfig`] — worker budget,
-    /// parallel threshold and split granularity.
-    pub fn with_config(platform: Platform, mode: SharingMode, config: EngineConfig) -> Self {
         StreamSession {
-            net: Network::with_config(platform, mode, config),
+            net: Network::new(platform, mode),
             sched: Scheduler::new(),
             deliveries: Vec::new(),
         }

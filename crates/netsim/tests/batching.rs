@@ -8,7 +8,6 @@ use netsim::network::{
     CompactionPolicy, FlowDelivery, NetEvent, NetWorldEvent, Network, SharingMode,
 };
 use netsim::platform::{HostSpec, LinkSpec, Platform, PlatformBuilder};
-use netsim::pool::EngineConfig;
 use p2p_common::{Bandwidth, DataSize, FlowId, HostId, SimDuration, SimTime};
 use std::collections::BTreeMap;
 
@@ -85,14 +84,10 @@ fn churn_workload(hosts: usize, flows: usize) -> Vec<(HostId, HostId, DataSize, 
         .collect()
 }
 
-fn run(
-    config: EngineConfig,
-    cold: bool,
-    policy: Option<CompactionPolicy>,
-) -> (NetWorld, Scheduler<Ev>) {
+fn run(cold: bool, policy: Option<CompactionPolicy>) -> (NetWorld, Scheduler<Ev>) {
     let hosts = 32;
     let mut world = NetWorld {
-        net: Network::with_config(star(hosts), SharingMode::MaxMinFair, config),
+        net: Network::new(star(hosts), SharingMode::MaxMinFair),
         deliveries: vec![],
         cold,
     };
@@ -114,31 +109,23 @@ fn by_token(deliveries: &[(SimTime, FlowDelivery)]) -> BTreeMap<u64, u64> {
         .collect()
 }
 
-/// Warm ≡ cold on the high-churn workload, and on the worker pool: the
-/// index-derived src→dst pairs decompose into many small link components,
-/// so under an eight-worker budget and a zero threshold the flushes really
-/// do dispatch — and every token must still land on the same nanosecond as
-/// a serial run with every flush filled cold.
+/// Warm ≡ cold on the high-churn workload: the index-derived src→dst
+/// pairs decompose into many small link components, so flushes span
+/// several of them and resume each from its own record — and every token
+/// must still land on the same nanosecond as a run with every flush filled
+/// cold.
 #[test]
-fn warm_pooled_flushes_match_cold_serial_ones_on_star_churn() {
-    let (pooled, _) = run(
-        EngineConfig::default().workers(8).parallel_threshold(0),
-        false,
-        None,
-    );
-    assert!(
-        pooled.net.flush_stats().parallel_flushes > 0,
-        "the pairwise-decomposed churn must have dispatched at least once"
-    );
-    assert!(pooled.net.flush_stats().warm_starts > 0);
-    let (cold, _) = run(EngineConfig::default().workers(1), true, None);
-    assert_eq!(pooled.deliveries.len(), 400);
+fn warm_flushes_match_cold_ones_on_star_churn() {
+    let (warm, _) = run(false, None);
+    assert!(warm.net.flush_stats().warm_starts > 0);
+    let (cold, _) = run(true, None);
+    assert_eq!(warm.deliveries.len(), 400);
     assert_eq!(
-        by_token(&pooled.deliveries),
+        by_token(&warm.deliveries),
         by_token(&cold.deliveries),
-        "warm starts and pool dispatch must be observationally invisible"
+        "warm starts must be observationally invisible"
     );
-    assert_eq!(pooled.net.stats(), cold.net.stats());
+    assert_eq!(warm.net.stats(), cold.net.stats());
 }
 
 /// Coalescing is not a no-op: the whole arrival wave activates at one
@@ -146,7 +133,7 @@ fn warm_pooled_flushes_match_cold_serial_ones_on_star_churn() {
 /// and departures.
 #[test]
 fn batching_coalesces_same_instant_rebalances() {
-    let (world, _) = run(EngineConfig::default(), false, None);
+    let (world, _) = run(false, None);
     let flushes = world.net.flush_stats().flushes;
     assert!(
         flushes < 2 * 400,
@@ -162,7 +149,7 @@ fn auto_compaction_triggers_and_restores_the_ratio() {
         dead_per_live: 1,
         min_dead: 16,
     };
-    let (world, sched) = run(EngineConfig::default(), false, Some(policy));
+    let (world, sched) = run(false, Some(policy));
     assert_eq!(world.deliveries.len(), 400);
     assert!(
         world.net.auto_compactions() > 0,

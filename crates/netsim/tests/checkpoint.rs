@@ -18,6 +18,11 @@
 //! which stored a zeroed back-pointer per hop for flows not yet attached to
 //! the link incidence lists.
 //!
+//! Two fixed workloads at the extremes of one flush — a funnel star whose
+//! one component carries every flow, and a mirrored forest whose every
+//! flush spans sixteen components — are cut mid-run as stream sessions
+//! and must finish bit-identically after the restore.
+//!
 //! Decoding is also on trial against malformed input: truncated and
 //! byte-mutated copies of a real mid-run checkpoint must come back as an
 //! `Err` or a successful restore, never a panic.
@@ -269,7 +274,7 @@ fn v1_and_v2_envelopes_are_rejected_not_migrated() {
     let net = Network::new(star(3), SharingMode::MaxMinFair);
     let sched: Scheduler<StreamEvent> = Scheduler::new();
     let json = checkpoint::to_json(&net, &sched, Value::Null).unwrap();
-    assert_eq!(checkpoint::VERSION, 3, "update this test on a version bump");
+    assert_eq!(checkpoint::VERSION, 4, "update this test on a version bump");
     for old in [1u64, 2] {
         let downgraded = json.replace(
             &format!("\"version\":{}", checkpoint::VERSION),
@@ -281,8 +286,171 @@ fn v1_and_v2_envelopes_are_rejected_not_migrated() {
         };
         let msg = err.to_string();
         assert!(
-            msg.contains(&format!("version {old}")) && msg.contains("expected 3"),
+            msg.contains(&format!("version {old}")) && msg.contains("expected 4"),
             "rejection must name both versions: {msg}"
         );
     }
+}
+
+/// Add `(key, value)` to the object at `path` inside `v`.
+fn insert_at(v: &mut Value, path: &[&str], key: &str, value: Value) {
+    let Value::Object(fields) = v else {
+        panic!("not an object");
+    };
+    match path.split_first() {
+        None => fields.push((key.to_owned(), value)),
+        Some((head, rest)) => {
+            let (_, inner) = fields
+                .iter_mut()
+                .find(|(k, _)| k == head)
+                .expect("path exists");
+            insert_at(inner, rest, key, value);
+        }
+    }
+}
+
+/// A v3-shaped envelope — version 3, with v3's `engine_config`,
+/// `attached_flows` and pool counters present (abridged) — is rejected
+/// with an `Err` naming both versions, not decoded by ignoring the extra
+/// fields.
+#[test]
+fn v3_envelopes_are_rejected_not_migrated() {
+    let mut v: Value = serde_json::from_str(mid_run_checkpoint()).unwrap();
+    let Value::Object(fields) = &mut v else {
+        panic!("envelope is an object");
+    };
+    for (k, val) in fields.iter_mut() {
+        if k == "version" {
+            *val = Value::UInt(3);
+        }
+    }
+    let engine_config = Value::Object(vec![
+        ("workers".to_owned(), Value::UInt(0)),
+        ("split_min_flows".to_owned(), Value::UInt(0)),
+    ]);
+    insert_at(&mut v, &["network"], "engine_config", engine_config);
+    insert_at(&mut v, &["network"], "attached_flows", Value::UInt(3));
+    for counter in [
+        "parallel_flushes",
+        "shards_dispatched",
+        "flushes_dispatched",
+        "steals",
+        "park_wakeups",
+    ] {
+        insert_at(&mut v, &["network", "flush_stats"], counter, Value::UInt(0));
+    }
+    let text = serde_json::to_string(&v).unwrap();
+    let err = match checkpoint::from_json::<StreamEvent>(&text) {
+        Err(e) => e,
+        Ok(_) => panic!("a v3 envelope must be rejected"),
+    };
+    let msg = err.to_string();
+    assert!(
+        msg.contains("version 3") && msg.contains("expected 4"),
+        "rejection must name both versions: {msg}"
+    );
+    assert!(StreamSession::restore(&v).is_err());
+}
+
+/// One arrival of a fixed workload: (src, dst, bytes, arrival µs).
+type Timed = (HostId, HostId, u64, u64);
+
+/// A session with `flows` injected as arrivals.
+fn streamed(platform: Platform, flows: &[Timed]) -> StreamSession {
+    let mut s = StreamSession::new(platform, SharingMode::MaxMinFair);
+    for (i, &(src, dst, bytes, at_us)) in flows.iter().enumerate() {
+        s.inject(
+            SimTime::ZERO + SimDuration::from_micros(at_us),
+            src,
+            dst,
+            DataSize::from_bytes(bytes),
+            i as u64,
+        )
+        .expect("arrival in the future");
+    }
+    s
+}
+
+/// Cut a session mid-run, restore it and finish it: every delivery must
+/// match the uninterrupted run's to the nanosecond, and two identical runs
+/// must checkpoint to identical bytes.
+fn assert_mid_run_restore(platform: impl Fn() -> Platform, flows: &[Timed]) {
+    let mut uninterrupted = streamed(platform(), flows);
+    let mut tail = uninterrupted.quiesce();
+
+    let cut = SimTime::ZERO + SimDuration::from_millis(40);
+    let mut original = streamed(platform(), flows);
+    let mut twin = streamed(platform(), flows);
+    let mut head = original.advance_to(cut);
+    twin.advance_to(cut);
+    assert!(
+        original.flows_in_flight() > 0 && original.network().flush_stats().warm_starts > 0,
+        "the cut must land mid-churn, with warm starts behind it"
+    );
+    let envelope = original.checkpoint();
+    assert_eq!(
+        serde_json::to_string(&envelope).unwrap(),
+        serde_json::to_string(&twin.checkpoint()).unwrap(),
+        "identical runs must checkpoint byte-identically"
+    );
+    let mut restored = StreamSession::restore(&envelope).expect("restore");
+    assert_eq!(
+        restored.network().flush_stats(),
+        original.network().flush_stats()
+    );
+    head.extend(restored.quiesce());
+
+    let key = |d: &netsim::DeliveryRecord| (d.token, d.completed_at);
+    tail.sort_by_key(key);
+    head.sort_by_key(key);
+    assert_eq!(
+        head.len(),
+        flows.len(),
+        "restored run must deliver every flow"
+    );
+    assert_eq!(tail.len(), flows.len());
+    for (x, y) in head.iter().zip(&tail) {
+        assert_eq!(key(x), key(y), "restored deliveries diverged");
+    }
+}
+
+/// One funnel component: every flow from a 48-host star into `h0`,
+/// arriving 50 µs apart.
+#[test]
+fn mid_run_restore_is_bit_identical_on_the_funnel_star() {
+    let flows: Vec<_> = (0..320u64)
+        .map(|i| {
+            (
+                HostId::new((i % 47 + 1) as u32),
+                HostId::new(0),
+                50_000 + (i * 17_977) % 450_000,
+                50 * i,
+            )
+        })
+        .collect();
+    assert_mid_run_restore(|| star(48), &flows);
+}
+
+/// Sixteen identical trees with the same flow pattern and arrival times:
+/// every flush spans every tree still busy.
+#[test]
+fn mid_run_restore_is_bit_identical_on_the_mirrored_forest() {
+    let topo = || netsim::dslam_forest_mirrored(16, 8, HostSpec::default(), 3);
+    let forest = topo();
+    let mut flows = Vec::new();
+    for t in 0..forest.components.len() {
+        let tree = forest.component_hosts(t);
+        for i in 0..20usize {
+            let src = (i * 5 + 1) % tree.len();
+            let dst = (i * 11 + tree.len() / 2) % tree.len();
+            let dst = if dst == src {
+                (dst + 1) % tree.len()
+            } else {
+                dst
+            };
+            let bytes = 50_000 + (i as u64 * 17_977) % 450_000;
+            flows.push((tree[src], tree[dst], bytes, 500 * i as u64));
+        }
+    }
+    assert_mid_run_restore(|| topo().platform, &flows);
 }

@@ -2,21 +2,21 @@
 //! tests nail down when each counter ticks:
 //!
 //! * `flushes` — every rebalance that found a dirty link;
-//! * `fast_flushes` — the dense takeover (several dirty components covering
-//!   ≥ 3/4 of the attached flows, low GC debt, no pool dispatch): taken on
-//!   synchronised multi-component traffic, skipped on component-local churn;
 //! * `flushed_flows` — the work metric dirty-component flushes exist to
 //!   shrink;
-//! * `parallel_flushes` / `shards_dispatched` — component fills dispatched
-//!   on the pool, with ≥ 2 dirty components and a worker budget ≥ 2;
 //! * `warm_starts` / `warm_prefix_flows` / `warm_resume_rounds` /
 //!   `warm_invalidations` — warm-start resumes and record drops.
+//!
+//! It also pins the flush scratch in [`Network::memory_footprint`]: counted
+//! in the total, and sized by the network, not by how many components one
+//! flush spans.
 
 use netsim::event::{run_world, Scheduler, World};
-use netsim::network::{FlowDelivery, NetEvent, NetWorldEvent, Network, SharingMode};
+use netsim::network::{FlowDelivery, FlushStats, NetEvent, NetWorldEvent, Network, SharingMode};
 use netsim::platform::{HostSpec, LinkSpec, Platform, PlatformBuilder};
-use netsim::pool::EngineConfig;
+use netsim::StreamSession;
 use p2p_common::{Bandwidth, DataSize, HostId, SimDuration, SimTime};
+use std::collections::BTreeMap;
 
 #[derive(Debug, Clone, Copy)]
 enum Ev {
@@ -99,15 +99,11 @@ fn funnel_flows(
 fn run(
     platform: Platform,
     mode: SharingMode,
-    workers: usize,
     cold: bool,
     flows: &[(HostId, HostId, DataSize, u64)],
 ) -> NetWorld {
-    let config = EngineConfig::default()
-        .workers(workers)
-        .parallel_threshold(0);
     let mut world = NetWorld {
-        net: Network::with_config(platform, mode, config),
+        net: Network::new(platform, mode),
         deliveries: vec![],
         cold,
     };
@@ -120,34 +116,46 @@ fn run(
     world
 }
 
+fn by_token(deliveries: &[(SimTime, FlowDelivery)]) -> BTreeMap<u64, u64> {
+    deliveries
+        .iter()
+        .map(|&(t, d)| (d.token, t.duration_since(SimTime::ZERO).as_nanos()))
+        .collect()
+}
+
 /// Synchronised multi-component traffic (mirrored groups, one funnel
-/// component each) without a pool takes the dense takeover: every flush's
-/// dirty components cover all attached flows, so it refills the active set
-/// directly — and drops the records of the components it bypassed.
+/// component each): every flush spans several dirty components, and each
+/// resumes from its own record — none is ever dropped, so the churn stays
+/// warm flush after flush and matches a cold run exactly.
 #[test]
-fn dense_fast_path_is_taken_on_globally_coupled_traffic() {
-    let flows = funnel_flows(4, 8, 30);
-    let w = run(
-        forest(4, 8, false),
+fn mirrored_traffic_keeps_its_fill_records() {
+    let groups = 6;
+    let flows = funnel_flows(groups, 8, 40);
+    let warm = run(
+        forest(groups, 8, false),
         SharingMode::MaxMinFair,
-        1,
         false,
         &flows,
     );
-    let s = w.net.flush_stats();
+    let s = warm.net.flush_stats();
     assert!(s.flushes > 0, "rebalances with dirty links must count");
-    assert!(s.fast_flushes > 0, "mirrored funnels must fast-path: {s:?}");
-    assert!(s.fast_flushes <= s.flushes);
+    assert!(s.flushed_flows > 0);
     assert!(
-        s.flushed_flows > 0,
-        "fast flushes still recompute (and count) the active set"
+        s.warm_starts >= 2 * (s.flushes - 1),
+        "after the first fill every flush warm-starts each of its groups: {s:?}"
     );
-    assert!(
-        s.warm_invalidations > 0,
-        "a takeover drops the records it bypasses: {s:?}"
+    assert_eq!(s.warm_invalidations, 0, "no flush drops a record: {s:?}");
+    let cold = run(
+        forest(groups, 8, false),
+        SharingMode::MaxMinFair,
+        true,
+        &flows,
     );
-    assert_eq!(s.parallel_flushes, 0, "no pool, no dispatch");
-    assert_eq!(s.shards_dispatched, 0);
+    assert_eq!(
+        by_token(&warm.deliveries),
+        by_token(&cold.deliveries),
+        "warm and cold runs must deliver identically"
+    );
 }
 
 /// Component-local churn on a staggered forest skips the fast path (each
@@ -161,65 +169,25 @@ fn gathered_flushes_stay_component_local() {
     let w = run(
         forest(groups, 8, true),
         SharingMode::MaxMinFair,
-        1,
         false,
         &flows,
     );
     let s = w.net.flush_stats();
     assert!(s.flushes > 0);
-    assert!(
-        s.fast_flushes < s.flushes,
-        "staggered per-group churn must take the per-component path: {s:?}"
-    );
     // Work bound: a from-scratch engine recomputes every active flow per
     // flush; on this workload each flush touches about one group of six.
     assert!(
         s.flushed_flows < s.flushes * (groups * per_group) as u64 / 2,
         "flushes must stay component-local: {s:?}"
     );
-    assert_eq!(s.parallel_flushes, 0);
 }
 
-/// The dispatch counters tick exactly when a flush spans several
-/// components and the worker budget allows a pool — mirrored
-/// (equal-latency) groups synchronise completions to make that happen
-/// deterministically — and those flushes warm-start at the same time.
-#[test]
-fn parallel_counters_tick_only_when_fills_dispatch() {
-    let groups = 6;
-    let flows = funnel_flows(groups, 8, 40);
-    let platform = forest(groups, 8, false);
-    let pooled = run(platform.clone(), SharingMode::MaxMinFair, 4, false, &flows);
-    let s = pooled.net.flush_stats();
-    assert!(
-        s.parallel_flushes > 0,
-        "mirrored groups must dispatch: {s:?}"
-    );
-    assert!(s.shards_dispatched >= 2 * s.parallel_flushes);
-    assert!(s.parallel_flushes <= s.flushes);
-    assert!(s.warm_starts > 0, "recorded groups must warm-start: {s:?}");
-    // Same workload, a one-worker budget: nothing ever dispatches, and the
-    // remaining telemetry still works.
-    let serial = run(platform, SharingMode::MaxMinFair, 1, false, &flows);
-    let s1 = serial.net.flush_stats();
-    assert_eq!(s1.parallel_flushes, 0);
-    assert_eq!(s1.shards_dispatched, 0);
-    assert!(s1.flushes > 0);
-}
-
-/// The warm counters tick on single-component churn (each completion's
-/// flush resumes from the record) and never alongside the dense fast path,
-/// which a single component never takes.
+/// The warm counters tick on single-component churn: each completion's
+/// flush resumes from the record.
 #[test]
 fn warm_counters_tick_on_single_component_churn() {
     let flows = funnel_flows(1, 8, 60);
-    let w = run(
-        forest(1, 8, false),
-        SharingMode::MaxMinFair,
-        0,
-        false,
-        &flows,
-    );
+    let w = run(forest(1, 8, false), SharingMode::MaxMinFair, false, &flows);
     let s = w.net.flush_stats();
     assert!(s.flushes > 0);
     assert!(
@@ -230,14 +198,7 @@ fn warm_counters_tick_on_single_component_churn() {
         s.warm_starts < s.flushes,
         "the first recording fill is cold"
     );
-    assert_eq!(
-        s.fast_flushes, 0,
-        "one component never takes the dense path"
-    );
-    assert_eq!(
-        s.warm_invalidations, 0,
-        "no merge, takeover or explicit drop"
-    );
+    assert_eq!(s.warm_invalidations, 0, "no merge or explicit drop");
     // The funnel sink saturates at round 0 and freezes every flow there, so
     // resumes happen but keep nothing — the boundary tests in
     // `tests/warm.rs` cover non-trivial prefixes.
@@ -249,13 +210,7 @@ fn warm_counters_tick_on_single_component_churn() {
 #[test]
 fn cold_runs_never_warm_start() {
     let flows = funnel_flows(1, 8, 60);
-    let w = run(
-        forest(1, 8, false),
-        SharingMode::MaxMinFair,
-        0,
-        true,
-        &flows,
-    );
+    let w = run(forest(1, 8, false), SharingMode::MaxMinFair, true, &flows);
     let s = w.net.flush_stats();
     assert!(s.flushes > 0);
     assert_eq!(s.warm_starts, 0);
@@ -268,12 +223,79 @@ fn cold_runs_never_warm_start() {
 #[test]
 fn flush_stats_stay_zero_in_bottleneck_mode() {
     let flows = funnel_flows(2, 8, 30);
-    let w = run(
-        forest(2, 8, false),
-        SharingMode::Bottleneck,
-        0,
-        false,
-        &flows,
-    );
+    let w = run(forest(2, 8, false), SharingMode::Bottleneck, false, &flows);
     assert_eq!(w.net.flush_stats(), Default::default());
+}
+
+/// The flush scratch shows up in the memory footprint once flushes have
+/// run, and the total includes it.
+#[test]
+fn fill_scratch_is_accounted_in_the_footprint() {
+    let flows = funnel_flows(4, 8, 30);
+    let w = run(forest(4, 8, true), SharingMode::MaxMinFair, false, &flows);
+    let fp = w.net.memory_footprint();
+    assert!(
+        fp.scratch_bytes > 0,
+        "the fill tables must be accounted after flushes: {fp:?}"
+    );
+    assert_eq!(
+        fp.total_bytes(),
+        fp.slab_bytes + fp.incidence_bytes + fp.component_bytes + fp.warm_bytes + fp.scratch_bytes
+    );
+}
+
+/// Background flows in tree 0 of the forest below (identical in both runs).
+const BACKGROUND: usize = 32;
+/// Flows of the measured arrival wave.
+const WAVE: usize = 60;
+const TREES: usize = 16;
+
+/// Scratch bytes and flush statistics right after a flush that fills one
+/// arrival wave of `WAVE` flows on a 16-tree DSLAM forest: spread over
+/// trees 1..16 (fifteen dirty components) or confined to tree 1 (one). A
+/// background load parked in tree 0 beforehand is flushed first. Every
+/// route crosses both DSLAMs of its tree, so each wave activates at one
+/// instant and lands in one flush.
+fn wave_scratch_bytes(spread: bool) -> (usize, FlushStats) {
+    let topo = netsim::dslam_forest(TREES, 16, HostSpec::default(), 7);
+    let pair = |tree: usize, i: usize| {
+        let hosts = topo.component_hosts(tree);
+        (hosts[i % 8], hosts[8 + (i * 3) % 8])
+    };
+    let mut s = StreamSession::new(topo.platform.clone(), SharingMode::MaxMinFair);
+    let big = DataSize::from_bytes(100_000_000);
+    for i in 0..BACKGROUND {
+        let (src, dst) = pair(0, i);
+        s.inject(SimTime::ZERO, src, dst, big, i as u64).unwrap();
+    }
+    let wave_at = SimTime::ZERO + SimDuration::from_millis(100);
+    for i in 0..WAVE {
+        let tree = if spread { 1 + i % (TREES - 1) } else { 1 };
+        let (src, dst) = pair(tree, i);
+        s.inject(wave_at, src, dst, big, (BACKGROUND + i) as u64)
+            .unwrap();
+    }
+    assert!(s.advance_to(wave_at + SimDuration::from_secs(1)).is_empty());
+    let stats = s.network().flush_stats();
+    assert_eq!(
+        stats.flushes, 2,
+        "background and wave must each fill in one flush: {stats:?}"
+    );
+    (s.network().memory_footprint().scratch_bytes, stats)
+}
+
+/// Fill scratch is sized by the network, not by dirty component: a flush
+/// over fifteen components runs every fill on the same tables, so its
+/// scratch bytes stay within twice those of a one-component flush of the
+/// same flows.
+#[test]
+fn fill_scratch_does_not_grow_with_dirty_components() {
+    let (spread, _) = wave_scratch_bytes(true);
+    let (confined, _) = wave_scratch_bytes(false);
+    assert!(
+        spread <= 2 * confined,
+        "spreading the wave over {} trees took {spread} scratch bytes, \
+         confining it to one took {confined}",
+        TREES - 1
+    );
 }

@@ -26,17 +26,13 @@
 //!   (see the "Warm-start filling" section of ARCHITECTURE.md;
 //!   `tests/warm.rs` holds the warm-specific generators).
 //!
-//! The networks run with the work threshold at zero, so every
-//! multi-component flush dispatches its component fills on the worker pool;
-//! the worker budget stays at auto, which honours `NETSIM_WORKERS` — the CI
-//! matrix sweeps that over 1, 2 and 8, turning this whole suite into the
-//! determinism-under-threads proof (and the steal-stress lane adds
-//! `NETSIM_SPLIT_MIN=2` on top).
-//!
 //! The multi-component properties run on a *forest of stars* — disjoint
 //! star platforms in one [`Platform`] — because that is where dirty-component
 //! flushes matter: churn in one star must leave every other star's rates and
-//! scheduled completions untouched.
+//! scheduled completions untouched. Two fixed inputs sit at the extremes of
+//! one flush: a mirrored forest whose every flush spans sixteen dirty
+//! components, and a funnel star with hundreds of flows on one bottleneck
+//! link.
 //!
 //! The property names predate the single engine and are pinned: the
 //! regression corpus and the deterministic per-test RNG key hang on them.
@@ -180,19 +176,14 @@ fn forest_workload(
         .collect()
 }
 
-/// Run `flows` to completion on `platform`, warm or cold, with the work
-/// threshold at zero so multi-component flushes really dispatch on these
-/// small workloads (the worker budget stays at auto, so `NETSIM_WORKERS`
-/// drives it).
+/// Run `flows` to completion on `platform`, warm or cold.
 fn run_engine(
     platform: Platform,
     flows: &[(HostId, HostId, DataSize, u64)],
     cold: bool,
 ) -> NewWorld {
-    let mut net = Network::new(platform, SharingMode::MaxMinFair);
-    net.set_config(net.config().parallel_threshold(0));
     let mut world = NewWorld {
-        net,
+        net: Network::new(platform, SharingMode::MaxMinFair),
         deliveries: vec![],
         cold,
     };
@@ -388,4 +379,105 @@ proptest! {
         run_world(&mut old_world, &mut old_sched, None);
         prop_assert_eq!(by_token(&new_world.deliveries), by_token(&old_world.deliveries));
     }
+}
+
+/// A forest of `groups` disjoint stars with **identical** access latency in
+/// every group, so mirrored flows activate and complete at the same
+/// instants across groups and every flush spans every group still busy.
+fn mirrored_forest(groups: usize, hosts_per: usize) -> Platform {
+    let mut b = PlatformBuilder::new();
+    let spec = LinkSpec::new(Bandwidth::from_mbps(100.0), SimDuration::from_micros(100));
+    for g in 0..groups {
+        let sw = b.add_router(format!("sw{g}"));
+        for i in 0..hosts_per {
+            let h = b.add_host(
+                format!("g{g}h{i}"),
+                format!("10.{g}.0.{}", i + 1).parse().unwrap(),
+                HostSpec::default(),
+            );
+            b.add_host_link(format!("g{g}l{i}"), h, sw, spec);
+        }
+    }
+    b.build()
+}
+
+/// The same churn pattern replicated in every group of a mirrored forest.
+fn mirrored_workload(
+    groups: usize,
+    hosts_per: usize,
+    per_group: usize,
+) -> Vec<(HostId, HostId, DataSize, u64)> {
+    let mut flows = Vec::with_capacity(groups * per_group);
+    for g in 0..groups {
+        let base = (g * hosts_per) as u32;
+        for i in 0..per_group {
+            let src = (i * 5 + 1) % hosts_per;
+            let dst = (i * 11 + hosts_per / 2) % hosts_per;
+            let dst = if dst == src {
+                (dst + 1) % hosts_per
+            } else {
+                dst
+            };
+            flows.push((
+                HostId::new(base + src as u32),
+                HostId::new(base + dst as u32),
+                DataSize::from_bytes(50_000 + (i as u64 * 17_977) % 450_000),
+                (g * per_group + i) as u64,
+            ));
+        }
+    }
+    flows
+}
+
+/// `flows` transfers from the other hosts of a star into `h0`, all on
+/// `h0`'s ingress link.
+fn funnel_workload(hosts: usize, flows: usize) -> Vec<(HostId, HostId, DataSize, u64)> {
+    (0..flows)
+        .map(|i| {
+            (
+                HostId::new((i % (hosts - 1) + 1) as u32),
+                HostId::new(0),
+                DataSize::from_bytes(50_000 + (i as u64 * 17_977) % 450_000),
+                i as u64,
+            )
+        })
+        .collect()
+}
+
+/// Warm ≡ cold bit for bit, and warm within two ticks of the seed engine,
+/// on one fixed workload.
+fn assert_three_way(platform: impl Fn() -> Platform, flows: &[(HostId, HostId, DataSize, u64)]) {
+    let old = run_baseline(platform(), flows);
+    assert_eq!(
+        old.deliveries.len(),
+        flows.len(),
+        "the baseline must deliver"
+    );
+    let warm = run_engine(platform(), flows, false);
+    let cold = run_engine(platform(), flows, true);
+    assert_eq!(
+        by_token(&warm.deliveries),
+        by_token(&cold.deliveries),
+        "warm vs cold diverged"
+    );
+    assert_eq!(warm.net.stats(), cold.net.stats());
+    assert_eq!(&warm.net.stats().link_bytes, &old.net.stats().link_bytes);
+    assert_within_two_ticks(&warm.deliveries, &old.deliveries);
+}
+
+/// Sixteen mirrored groups: every flush spans sixteen dirty components.
+/// (Twelve flows per group keep the quadratic seed engine quick;
+/// `tests/warm.rs` runs warm ≡ cold at forty.)
+#[test]
+fn three_way_engines_agree_on_the_mirrored_forest() {
+    assert_three_way(|| mirrored_forest(16, 8), &mirrored_workload(16, 8, 12));
+}
+
+/// One component with 512 flows on its bottleneck link. (The seed engine
+/// reschedules every flow on every event, so it is quadratic in the flow
+/// count: 2048 flows take over a minute in a debug build. `tests/warm.rs`
+/// runs warm ≡ cold on the 2048-flow funnel.)
+#[test]
+fn three_way_engines_agree_on_the_funnel_star() {
+    assert_three_way(|| star(48), &funnel_workload(48, 512));
 }

@@ -15,9 +15,8 @@
 //!   ones).
 //! * **Determinism smoke** — a scaled-down hierarchy workload is bit-
 //!   identical warm and cold (fill records invalidated before every event)
-//!   and across re-builds. The network resolves its worker budget from
-//!   `NETSIM_WORKERS` and the build seed comes from `ROBUSTNESS_SEED`, so
-//!   the CI seed × thread × profile matrices sweep this whole file into a
+//!   and across re-builds. The build seed comes from `ROBUSTNESS_SEED`, so
+//!   the CI seed × profile matrix sweeps this whole file into a
 //!   determinism proof for the scale layer.
 
 use netsim::{
@@ -177,10 +176,9 @@ fn run_hierarchy_workload(topo: &Topology, cold: bool) -> (Vec<(SimTime, u64)>, 
     (deliveries, end)
 }
 
-/// The scaled-down determinism smoke for the CI seed × thread matrices: the
+/// The scaled-down determinism smoke for the CI seed × profile matrix: the
 /// same hierarchy workload is bit-identical across re-builds from one seed
-/// and warm vs cold (the network honours `NETSIM_WORKERS`, so the matrix
-/// sweep proves thread-independence).
+/// and warm vs cold.
 #[test]
 fn hierarchy_workload_is_deterministic_warm_cold_and_across_rebuilds() {
     let params = IspHierarchyParams {

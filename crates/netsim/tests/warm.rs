@@ -26,6 +26,11 @@
 //! * **Record invalidation** — merges (key expiry) and explicit
 //!   invalidation force cold fills, then re-record, without disturbing a
 //!   single rate.
+//! * **Wide and deep flushes** — two fixed workloads at the extremes of one
+//!   flush: a mirrored forest whose every flush spans sixteen dirty
+//!   components, and a funnel star whose one component carries thousands
+//!   of flows on a single bottleneck link. Both must deliver bit-identically
+//!   warm and cold.
 //!
 //! Like `props.rs`, failing proptest cases persist to
 //! `tests/regressions/warm__<test>.txt` and replay before fresh cases.
@@ -146,16 +151,94 @@ impl World for NewWorld {
     }
 }
 
-/// A world over `platform`, warm or cold, with the work threshold at zero
-/// so multi-component flushes dispatch on the pool.
+/// A world over `platform`, warm or cold.
 fn world_for(platform: Platform, cold: bool) -> NewWorld {
-    let mut net = Network::new(platform, SharingMode::MaxMinFair);
-    net.set_config(net.config().parallel_threshold(0));
     NewWorld {
-        net,
+        net: Network::new(platform, SharingMode::MaxMinFair),
         deliveries: vec![],
         cold,
     }
+}
+
+/// A forest of `groups` disjoint stars with **identical** access latency in
+/// every group, so mirrored flows activate and complete at the same
+/// instants across groups and every flush spans every group still busy.
+fn mirrored_forest(groups: usize, hosts_per: usize) -> Platform {
+    let mut b = PlatformBuilder::new();
+    let spec = LinkSpec::new(Bandwidth::from_mbps(100.0), SimDuration::from_micros(100));
+    for g in 0..groups {
+        let sw = b.add_router(format!("sw{g}"));
+        for i in 0..hosts_per {
+            let h = b.add_host(
+                format!("g{g}h{i}"),
+                format!("10.{g}.0.{}", i + 1).parse().unwrap(),
+                HostSpec::default(),
+            );
+            b.add_host_link(format!("g{g}l{i}"), h, sw, spec);
+        }
+    }
+    b.build()
+}
+
+/// The same churn pattern replicated in every group of a mirrored forest
+/// (intra-group flows only; the forest is disconnected).
+fn mirrored_workload(
+    groups: usize,
+    hosts_per: usize,
+    per_group: usize,
+) -> Vec<(HostId, HostId, DataSize, u64)> {
+    let mut flows = Vec::with_capacity(groups * per_group);
+    for g in 0..groups {
+        let base = (g * hosts_per) as u32;
+        for i in 0..per_group {
+            let src = (i * 5 + 1) % hosts_per;
+            let dst = (i * 11 + hosts_per / 2) % hosts_per;
+            let dst = if dst == src {
+                (dst + 1) % hosts_per
+            } else {
+                dst
+            };
+            flows.push((
+                HostId::new(base + src as u32),
+                HostId::new(base + dst as u32),
+                DataSize::from_bytes(50_000 + (i as u64 * 17_977) % 450_000),
+                (g * per_group + i) as u64,
+            ));
+        }
+    }
+    flows
+}
+
+/// `flows` transfers from the other hosts of a star into `h0`: `h0`'s
+/// ingress couples them all into one component whose bottleneck link
+/// carries every flow.
+fn funnel_workload(hosts: usize, flows: usize) -> Vec<(HostId, HostId, DataSize, u64)> {
+    (0..flows)
+        .map(|i| {
+            (
+                HostId::new((i % (hosts - 1) + 1) as u32),
+                HostId::new(0),
+                DataSize::from_bytes(50_000 + (i as u64 * 17_977) % 450_000),
+                i as u64,
+            )
+        })
+        .collect()
+}
+
+/// Run `flows` on `platform` to completion, warm or cold.
+fn run_to_end(
+    platform: Platform,
+    flows: &[(HostId, HostId, DataSize, u64)],
+    cold: bool,
+) -> NewWorld {
+    let mut world = world_for(platform, cold);
+    let mut sched: Scheduler<Ev> = Scheduler::new();
+    for &(src, dst, size, token) in flows {
+        world.net.start_flow(&mut sched, src, dst, size, token);
+    }
+    run_world(&mut world, &mut sched, None);
+    assert_eq!(world.deliveries.len(), flows.len());
+    world
 }
 
 /// Map raw quadruples onto intra-group flows of a star forest.
@@ -726,8 +809,36 @@ fn single_component_churn_stays_on_the_warm_path() {
         stats.warm_prefix_flows >= 4,
         "prefixes must be kept: {stats:?}"
     );
-    assert_eq!(
-        stats.fast_flushes, 0,
-        "one component never takes the dense path"
+}
+
+/// Sixteen mirrored groups: every flush spans every group still busy, and
+/// each group's fill resumes from its own record — so the flushes stay
+/// warm, and deliver bit-identically to a run with every flush cold.
+#[test]
+fn mirrored_forest_flushes_warm_start_every_component() {
+    const GROUPS: usize = 16;
+    let flows = mirrored_workload(GROUPS, 8, 40);
+    let warm = run_to_end(mirrored_forest(GROUPS, 8), &flows, false);
+    let cold = run_to_end(mirrored_forest(GROUPS, 8), &flows, true);
+    assert_eq!(by_token(&warm.deliveries), by_token(&cold.deliveries));
+    assert_eq!(warm.net.stats(), cold.net.stats());
+    let stats = warm.net.flush_stats();
+    assert!(
+        stats.warm_starts >= GROUPS as u64 * (stats.flushes - 1),
+        "every flush after the first warm-starts all sixteen groups: {stats:?}"
     );
+    assert_eq!(stats.warm_invalidations, 0, "no flush drops a record");
+    assert_eq!(cold.net.flush_stats().warm_starts, 0);
+}
+
+/// One funnel component with 2048 flows on its bottleneck link: warm and
+/// cold deliver bit-identically.
+#[test]
+fn funnel_star_warm_matches_cold() {
+    let flows = funnel_workload(48, 2048);
+    let warm = run_to_end(star(48), &flows, false);
+    let cold = run_to_end(star(48), &flows, true);
+    assert_eq!(by_token(&warm.deliveries), by_token(&cold.deliveries));
+    assert_eq!(warm.net.stats(), cold.net.stats());
+    assert!(warm.net.flush_stats().warm_starts > 0);
 }

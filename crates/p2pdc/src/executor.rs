@@ -174,7 +174,6 @@ pub fn run_reference(
     let replay_cfg = ReplayConfig {
         sharing: cfg.sharing,
         protocol: channel.protocol_costs(),
-        ..ReplayConfig::default()
     };
     let exec = replay(topology.platform.clone(), hosts, &scripts, &replay_cfg);
 

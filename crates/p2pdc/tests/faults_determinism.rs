@@ -1,10 +1,9 @@
 //! Determinism and distribution guarantees of the fault model.
 //!
-//! The CI `robustness` matrix runs this binary in debug and release and under
-//! `NETSIM_WORKERS` ∈ {1, 2, 8}: a churn sequence is part of a scenario's
-//! identity, so the same seed must yield the *identical* event sequence
-//! everywhere — build profile, thread count and allocation pattern must all
-//! be invisible to the RNG stream.
+//! The CI `robustness` matrix runs this binary in debug and release: a churn
+//! sequence is part of a scenario's identity, so the same seed must yield
+//! the *identical* event sequence everywhere — build profile and allocation
+//! pattern must both be invisible to the RNG stream.
 
 use p2p_common::{IpAddr, PeerResources, SimDuration, SimTime};
 use p2pdc::{ChurnEvent, ChurnInjector, FaultEvent, FaultPlan, Overlay, OverlayConfig, TimedFault};

@@ -181,16 +181,13 @@ fn prediction_tracks_the_reference_on_churn_survivors() {
     );
 }
 
-/// The prediction pipeline replays traces through `netsim::replay`, whose
-/// flushes may run on a worker pool. A predicted time must not depend on
-/// that engineering choice: every worker budget, under every sharing mode,
-/// must produce the identical replay result on a synchronous halo-exchange
-/// workload crossing shared links.
+/// The prediction pipeline replays traces through `netsim::replay`. A
+/// predicted time is a function of its inputs only: two replays of a
+/// synchronous halo-exchange workload crossing shared links, under either
+/// sharing mode, produce the identical result.
 #[test]
-fn replay_result_is_identical_across_worker_budgets() {
-    use netsim::{
-        daisy_xdsl, replay, EngineConfig, HostSpec, ProcessScript, ReplayConfig, ReplayOp,
-    };
+fn replay_result_is_identical_across_runs() {
+    use netsim::{daisy_xdsl, replay, HostSpec, ProcessScript, ReplayConfig, ReplayOp};
     use p2p_common::SimDuration;
 
     let topo = daisy_xdsl(16, HostSpec::default(), 9);
@@ -220,19 +217,13 @@ fn replay_result_is_identical_across_worker_budgets() {
         .collect();
 
     for sharing in [SharingMode::MaxMinFair, SharingMode::Bottleneck] {
-        let mut results = vec![];
-        for workers in [1, 2, 4, 8] {
-            let cfg = ReplayConfig {
-                sharing,
-                // Threshold zero: every multi-component flush of this small
-                // workload dispatches on the pool when there is one.
-                config: EngineConfig::default()
-                    .workers(workers)
-                    .parallel_threshold(0),
-                ..ReplayConfig::default()
-            };
-            results.push(replay(topo.platform.clone(), &hosts, &scripts, &cfg));
-        }
+        let cfg = ReplayConfig {
+            sharing,
+            ..ReplayConfig::default()
+        };
+        let results: Vec<_> = (0..2)
+            .map(|_| replay(topo.platform.clone(), &hosts, &scripts, &cfg))
+            .collect();
         assert!(results[0].makespan > SimDuration::ZERO);
         for r in &results[1..] {
             assert_eq!(results[0].makespan, r.makespan, "makespan diverged");
