@@ -416,9 +416,8 @@ fn assert_mid_run_restore(platform: impl Fn() -> Platform, flows: &[Timed]) {
 
 /// One funnel component: every flow from a 48-host star into `h0`,
 /// arriving 50 µs apart.
-#[test]
-fn mid_run_restore_is_bit_identical_on_the_funnel_star() {
-    let flows: Vec<_> = (0..320u64)
+fn funnel_star_flows() -> Vec<Timed> {
+    (0..320u64)
         .map(|i| {
             (
                 HostId::new((i % 47 + 1) as u32),
@@ -427,8 +426,32 @@ fn mid_run_restore_is_bit_identical_on_the_funnel_star() {
                 50 * i,
             )
         })
-        .collect();
-    assert_mid_run_restore(|| star(48), &flows);
+        .collect()
+}
+
+#[test]
+fn mid_run_restore_is_bit_identical_on_the_funnel_star() {
+    assert_mid_run_restore(|| star(48), &funnel_star_flows());
+}
+
+/// Checkpoint bytes are a pure function of simulation state: two runs of
+/// the funnel star cut at the same instant — mid-churn, with warm starts
+/// and their records behind them — encode byte-identically.
+#[test]
+fn checkpoint_bytes_are_deterministic_on_the_funnel_star() {
+    let flows = funnel_star_flows();
+    let cut = SimTime::ZERO + SimDuration::from_millis(40);
+    let mut a = streamed(star(48), &flows);
+    let mut b = streamed(star(48), &flows);
+    a.advance_to(cut);
+    b.advance_to(cut);
+    assert!(
+        a.flows_in_flight() > 0 && a.network().flush_stats().warm_starts > 0,
+        "the cut must land mid-churn, with warm starts behind it"
+    );
+    let ja = serde_json::to_string(&a.checkpoint()).unwrap();
+    let jb = serde_json::to_string(&b.checkpoint()).unwrap();
+    assert_eq!(ja, jb, "identical runs must checkpoint byte-identically");
 }
 
 /// Sixteen identical trees with the same flow pattern and arrival times:

@@ -158,9 +158,27 @@ fn mirrored_traffic_keeps_its_fill_records() {
     );
 }
 
-/// Component-local churn on a staggered forest skips the fast path (each
-/// flush's component covers a fraction of the attached flows) and
-/// recomputes far fewer flows than `flushes × active` would.
+/// Globally coupled traffic — four mirrored funnels, so every flush's
+/// dirty components cover all attached flows — still runs the
+/// component-wise warm fill: the flushes recompute (and count) the active
+/// set, the groups resume from their records, and no record is dropped.
+#[test]
+fn globally_coupled_traffic_keeps_the_warm_fill() {
+    let flows = funnel_flows(4, 8, 30);
+    let w = run(forest(4, 8, false), SharingMode::MaxMinFair, false, &flows);
+    let s = w.net.flush_stats();
+    assert!(s.flushes > 0, "rebalances with dirty links must count");
+    assert!(
+        s.flushed_flows > 0,
+        "flushes recompute (and count) the active set"
+    );
+    assert!(s.warm_starts > 0, "recorded groups must warm-start: {s:?}");
+    assert_eq!(s.warm_invalidations, 0, "no flush drops a record: {s:?}");
+}
+
+/// Component-local churn on a staggered forest (each flush's component
+/// covers a fraction of the attached flows) recomputes far fewer flows
+/// than `flushes × active` would.
 #[test]
 fn gathered_flushes_stay_component_local() {
     let groups = 6;

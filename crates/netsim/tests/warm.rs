@@ -842,3 +842,20 @@ fn funnel_star_warm_matches_cold() {
     assert_eq!(warm.net.stats(), cold.net.stats());
     assert!(warm.net.flush_stats().warm_starts > 0);
 }
+
+/// A small star whose eighty flows all funnel into `h0`: every flush
+/// spans that one component, so it resumes at most one record, and the
+/// warm run delivers bit-identically to a cold one.
+#[test]
+fn single_component_star_warm_matches_cold() {
+    let flows = funnel_workload(8, 80);
+    let warm = run_to_end(star(8), &flows, false);
+    let cold = run_to_end(star(8), &flows, true);
+    assert_eq!(by_token(&warm.deliveries), by_token(&cold.deliveries));
+    let stats = warm.net.flush_stats();
+    assert!(stats.warm_starts > 0, "churn must warm-start: {stats:?}");
+    assert!(
+        stats.warm_starts <= stats.flushes,
+        "one component resumes at most once per flush: {stats:?}"
+    );
+}
