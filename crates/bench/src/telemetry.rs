@@ -62,7 +62,8 @@ mod tests {
         // Whether or not the reset is permitted, touching a fresh 64 MiB
         // buffer must push the water mark to at least that size.
         let _ = reset_peak_rss();
-        let buf = vec![1u8; 64 << 20];
+        // black_box: release builds would otherwise elide the unread buffer.
+        let buf = std::hint::black_box(vec![1u8; 64 << 20]);
         let peak = peak_rss_bytes().expect("procfs available on Linux");
         assert!(peak >= (buf.len() as u64), "peak {peak} below live buffer");
         assert_eq!(buf[buf.len() - 1], 1);

@@ -113,7 +113,8 @@ pub use network::{
 };
 pub use platform::{HostSpec, Link, LinkSpec, Node, NodeKind, Platform, PlatformBuilder, Route};
 pub use replay::{
-    replay, ProcessScript, ProtocolCosts, ReplayConfig, ReplayOp, ReplayResult, ReplaySession,
+    replay, ProcessScript, ProtocolCosts, PushError, ReplayConfig, ReplayOp, ReplayResult,
+    ReplaySession,
 };
 pub use stream::{DeliveryRecord, StreamError, StreamEvent, StreamSession};
 pub use topology::{

@@ -422,6 +422,37 @@ fn expand_ops(ops: &[ReplayOp]) -> Vec<ReplayOp> {
     out
 }
 
+/// Why [`ReplaySession::push_ops`] rejected a batch of operations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PushError {
+    /// The target rank is not a rank of the replay.
+    UnknownRank {
+        /// The offending rank.
+        rank: usize,
+    },
+    /// Operation `op` of the batch names `peer`, which is not a rank of the
+    /// replay.
+    UnknownPeer {
+        /// Position of the operation in the batch.
+        op: usize,
+        /// The peer it names.
+        peer: usize,
+    },
+}
+
+impl std::fmt::Display for PushError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PushError::UnknownRank { rank } => write!(f, "rank {rank} is not in the replay"),
+            PushError::UnknownPeer { op, peer } => {
+                write!(f, "op {op} names rank {peer}, which is not in the replay")
+            }
+        }
+    }
+}
+
+impl std::error::Error for PushError {}
+
 /// An interruptible, checkpointable replay.
 ///
 /// [`replay`] runs a script set to completion in one call; a session keeps
@@ -450,7 +481,7 @@ fn expand_ops(ops: &[ReplayOp]) -> Vec<ReplayOp> {
 /// let snapshot = session.checkpoint();
 /// let mut resumed = ReplaySession::restore(&snapshot).unwrap();
 /// resumed.push_ops(0, &[ReplayOp::Compute {
-///     duration: p2p_common::SimDuration::from_millis(5) }]);
+///     duration: p2p_common::SimDuration::from_millis(5) }]).unwrap();
 /// resumed.run_until(None);
 /// assert!(resumed.result().makespan > session.result().makespan);
 /// ```
@@ -545,9 +576,24 @@ impl ReplaySession {
     /// [`ReplaySession::new`]. A rank that had already finished is revived:
     /// its finish time is cleared and it resumes at the current virtual time.
     ///
-    /// Panics if `rank` is out of range.
-    pub fn push_ops(&mut self, rank: usize, ops: &[ReplayOp]) {
-        assert!(rank < self.world.procs.len(), "unknown rank {rank}");
+    /// Rejects the whole batch, leaving the session unchanged, if `rank` or
+    /// a peer named by one of `ops` is not a rank of the replay.
+    pub fn push_ops(&mut self, rank: usize, ops: &[ReplayOp]) -> Result<(), PushError> {
+        let ranks = self.world.procs.len();
+        if rank >= ranks {
+            return Err(PushError::UnknownRank { rank });
+        }
+        for (op, &o) in ops.iter().enumerate() {
+            let peers = match o {
+                ReplayOp::Compute { .. } => continue,
+                ReplayOp::Send { to, .. } => [to; 2],
+                ReplayOp::Recv { from, .. } => [from; 2],
+                ReplayOp::SendRecv { to, from, .. } => [to, from],
+            };
+            if let Some(peer) = peers.into_iter().find(|&p| p >= ranks) {
+                return Err(PushError::UnknownPeer { op, peer });
+            }
+        }
         let expanded = expand_ops(ops);
         let p = &mut self.world.procs[rank];
         p.ops.extend(expanded);
@@ -557,6 +603,7 @@ impl ReplaySession {
             self.sched
                 .schedule_at(self.sched.now(), Ev::Resume { rank });
         }
+        Ok(())
     }
 
     /// Summarise the replay. Panics (with the blocked rank's position) if a
@@ -1183,13 +1230,97 @@ mod tests {
                 bytes: 12_500,
                 tag: 3,
             }],
-        );
-        s.push_ops(1, &[ReplayOp::Recv { from: 0, tag: 3 }]);
+        )
+        .unwrap();
+        s.push_ops(1, &[ReplayOp::Recv { from: 0, tag: 3 }])
+            .unwrap();
         s.run_until(None);
         assert!(s.finished());
         let second = s.result();
         assert!(second.makespan > first);
         assert_eq!(second.messages_sent, 1);
+    }
+
+    /// A finished two-rank session, and the result of streaming one message
+    /// exchange into it after a push was rejected (or not).
+    fn session_after(rejected: impl FnOnce(&mut ReplaySession)) -> ReplayResult {
+        let (p, hosts) = star_platform(2);
+        let scripts = vec![
+            ProcessScript {
+                rank: 0,
+                ops: vec![compute(1)],
+            },
+            ProcessScript {
+                rank: 1,
+                ops: vec![],
+            },
+        ];
+        let mut s = ReplaySession::new(p, &hosts, &scripts, &ReplayConfig::default());
+        s.run_until(None);
+        rejected(&mut s);
+        assert!(s.finished(), "a rejected push revives no rank");
+        let exchange = ReplayOp::SendRecv {
+            to: 1,
+            from: 1,
+            bytes: 12_500,
+            tag: 3,
+        };
+        s.push_ops(0, &[exchange]).unwrap();
+        s.push_ops(
+            1,
+            &[
+                ReplayOp::Recv { from: 0, tag: 3 },
+                ReplayOp::Send {
+                    to: 0,
+                    bytes: 1,
+                    tag: 3,
+                },
+            ],
+        )
+        .unwrap();
+        s.run_until(None);
+        s.result()
+    }
+
+    #[test]
+    fn push_ops_rejects_an_unknown_target_rank() {
+        let clean = session_after(|_| {});
+        let after = session_after(|s| {
+            let err = s.push_ops(2, &[compute(1)]).unwrap_err();
+            assert_eq!(err, PushError::UnknownRank { rank: 2 });
+            assert!(err.to_string().contains("rank 2"));
+        });
+        assert_eq!(after.finish_times, clean.finish_times);
+        assert_eq!(after.wait_time, clean.wait_time);
+        assert_eq!((after.messages_sent, clean.messages_sent), (2, 2));
+    }
+
+    #[test]
+    fn push_ops_rejects_a_peer_outside_the_world() {
+        let clean = session_after(|_| {});
+        let after = session_after(|s| {
+            let send = ReplayOp::Send {
+                to: 5,
+                bytes: 1,
+                tag: 0,
+            };
+            let err = s.push_ops(0, &[compute(1), send]).unwrap_err();
+            assert_eq!(err, PushError::UnknownPeer { op: 1, peer: 5 });
+            assert!(err.to_string().contains("names rank 5"));
+            let recv = ReplayOp::Recv { from: 3, tag: 0 };
+            assert!(s.push_ops(1, &[recv]).is_err());
+            let exchange = ReplayOp::SendRecv {
+                to: 1,
+                from: 9,
+                bytes: 1,
+                tag: 0,
+            };
+            let err = s.push_ops(0, &[exchange]).unwrap_err();
+            assert_eq!(err, PushError::UnknownPeer { op: 0, peer: 9 });
+        });
+        assert_eq!(after.finish_times, clean.finish_times);
+        assert_eq!(after.wait_time, clean.wait_time);
+        assert_eq!((after.messages_sent, clean.messages_sent), (2, 2));
     }
 
     #[test]

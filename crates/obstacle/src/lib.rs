@@ -14,10 +14,10 @@
 //!   with a convergence criterion.
 //! * [`decomposition`] — 1-D block-row domain decomposition and halo
 //!   bookkeeping.
-//! * [`parallel`] — a real multi-threaded solver (crossbeam scoped threads)
-//!   used to validate the decomposition and to feed the *measured* block
-//!   bencher: synchronous (barrier per sweep) and asynchronous (no barrier)
-//!   schemes.
+//! * [`schemes`] — deterministic single-threaded models of the parallel
+//!   synchronous (block-Jacobi with halo exchange) and asynchronous (seeded
+//!   bounded-delay chaotic relaxation) schemes, used to validate the
+//!   decomposition against the sequential solver.
 //! * [`app`] — [`ObstacleApp`]: the paper-calibrated
 //!   workload description implementing `p2pdc::IterativeApp` and producing
 //!   the dPerf IR program of the obstacle code.
@@ -27,9 +27,9 @@
 pub mod app;
 pub mod decomposition;
 pub mod grid;
-pub mod parallel;
 pub mod problem;
 pub mod richardson;
+pub mod schemes;
 
 pub use app::ObstacleApp;
 pub use decomposition::BlockRows;

@@ -10,8 +10,8 @@
 //!
 //! For `0 < ω ≤ 1` the iteration is a contraction and converges to the unique
 //! solution of the discrete obstacle problem (Spitéri & Chau 2002). The
-//! parallel solvers in [`crate::parallel`] run exactly the same sweep on row
-//! blocks, so sequential and parallel results can be compared bit-for-bit
+//! scheme models in [`crate::schemes`] run exactly the same sweep on row
+//! blocks, so sequential and block results can be compared bit-for-bit
 //! after the same number of sweeps (synchronous scheme) or up to the
 //! convergence tolerance (asynchronous scheme).
 
