@@ -79,7 +79,8 @@ pub fn predict_traces(
         protocol: config.protocol_costs(),
     };
     let scripts = traces.to_replay_scripts();
-    let result = replay(platform, hosts, &scripts, &replay_cfg);
+    let result =
+        replay(platform, hosts, &scripts, &replay_cfg).expect("traces convert to valid scripts");
     Prediction {
         total: result.makespan,
         max_compute: result

@@ -6,9 +6,15 @@
 //! followed by relevant parameters for communication calls" (§III-D.2).
 //!
 //! [`TraceSet`] is that set of files: one [`ProcessTrace`] per rank, each a
-//! flat list of [`TraceEvent`]s. Traces serialise to JSON (human-readable and
-//! diffable — the reproduction's analogue of dPerf's text trace format) and
-//! convert directly into `netsim` replay scripts.
+//! list of [`TraceEvent`]s. Traces are loop-structured: an instrumented loop
+//! is one [`TraceEvent::Repeat`] holding the events of a single iteration and
+//! the trip count, because dPerf benchmarks each block once per loop and
+//! scales it by how often it runs (§III-D.2). A 900-sweep solver therefore
+//! writes one sweep, not 900. The counting methods ([`TraceSet::event_count`],
+//! [`ProcessTrace::sends`], …) report the unrolled figures. Traces serialise
+//! to JSON (human-readable and diffable — the reproduction's analogue of
+//! dPerf's text trace format; flat traces without loops read as before) and
+//! convert directly into `netsim` replay scripts, loops included.
 
 use netsim::{ProcessScript, ReplayOp};
 use p2p_common::SimDuration;
@@ -46,6 +52,64 @@ pub enum TraceEvent {
         /// Message tag.
         tag: u32,
     },
+    /// The events of `body` happened `count` times in a row: one
+    /// instrumented loop, its blocks benchmarked once.
+    Repeat {
+        /// Trip count of the loop.
+        count: u64,
+        /// The events of one iteration.
+        body: Vec<TraceEvent>,
+    },
+}
+
+/// Sum `f` over `events` with loops unrolled: a loop contributes its body's
+/// sum times its trip count (saturating).
+fn unrolled_sum(events: &[TraceEvent], f: &impl Fn(&TraceEvent) -> u64) -> u64 {
+    events
+        .iter()
+        .map(|e| match e {
+            TraceEvent::Repeat { count, body } => unrolled_sum(body, f).saturating_mul(*count),
+            other => f(other),
+        })
+        .fold(0, u64::saturating_add)
+}
+
+/// Append the replay ops of `events` to `ops`, one `Repeat` per loop.
+/// Loops with nothing to replay are dropped.
+fn push_replay_ops(events: &[TraceEvent], ops: &mut Vec<ReplayOp>) {
+    for e in events {
+        match e {
+            TraceEvent::Compute { ns, .. } => ops.push(ReplayOp::Compute {
+                duration: SimDuration::from_nanos(*ns),
+            }),
+            TraceEvent::Send { to, bytes, tag } => ops.push(ReplayOp::Send {
+                to: *to,
+                bytes: *bytes,
+                tag: *tag,
+            }),
+            TraceEvent::Recv { from, tag } => ops.push(ReplayOp::Recv {
+                from: *from,
+                tag: *tag,
+            }),
+            TraceEvent::Repeat { count, body } => {
+                let head = ops.len();
+                ops.push(ReplayOp::Repeat {
+                    count: *count,
+                    len: 0,
+                });
+                push_replay_ops(body, ops);
+                let body_len = ops.len() - head - 1;
+                if body_len == 0 {
+                    ops.pop();
+                } else {
+                    ops[head] = ReplayOp::Repeat {
+                        count: *count,
+                        len: body_len,
+                    };
+                }
+            }
+        }
+    }
 }
 
 /// The trace of one process (rank).
@@ -58,55 +122,57 @@ pub struct ProcessTrace {
 }
 
 impl ProcessTrace {
+    /// Number of events, loops unrolled.
+    pub fn event_count(&self) -> u64 {
+        unrolled_sum(&self.events, &|_| 1)
+    }
+
     /// Total recorded computation time.
     pub fn compute_time(&self) -> SimDuration {
-        let ns: u64 = self
-            .events
-            .iter()
-            .map(|e| match e {
-                TraceEvent::Compute { ns, .. } => *ns,
-                _ => 0,
-            })
-            .sum();
-        SimDuration::from_nanos(ns)
+        SimDuration::from_nanos(unrolled_sum(&self.events, &|e| match e {
+            TraceEvent::Compute { ns, .. } => *ns,
+            _ => 0,
+        }))
     }
 
     /// Number of messages this rank sends.
     pub fn sends(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Send { .. }))
-            .count()
+        unrolled_sum(&self.events, &|e| {
+            u64::from(matches!(e, TraceEvent::Send { .. }))
+        }) as usize
     }
 
     /// Number of receives this rank posts.
     pub fn recvs(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Recv { .. }))
-            .count()
+        unrolled_sum(&self.events, &|e| {
+            u64::from(matches!(e, TraceEvent::Recv { .. }))
+        }) as usize
+    }
+
+    /// The events with every loop written out, for tests to search.
+    #[cfg(test)]
+    pub(crate) fn unrolled(&self) -> Vec<TraceEvent> {
+        fn unroll(events: &[TraceEvent], out: &mut Vec<TraceEvent>) {
+            for e in events {
+                match e {
+                    TraceEvent::Repeat { count, body } => {
+                        for _ in 0..*count {
+                            unroll(body, out);
+                        }
+                    }
+                    other => out.push(other.clone()),
+                }
+            }
+        }
+        let mut out = Vec::new();
+        unroll(&self.events, &mut out);
+        out
     }
 
     /// Convert to a `netsim` replay script.
     pub fn to_replay_script(&self) -> ProcessScript {
-        let ops = self
-            .events
-            .iter()
-            .map(|e| match e {
-                TraceEvent::Compute { ns, .. } => ReplayOp::Compute {
-                    duration: SimDuration::from_nanos(*ns),
-                },
-                TraceEvent::Send { to, bytes, tag } => ReplayOp::Send {
-                    to: *to,
-                    bytes: *bytes,
-                    tag: *tag,
-                },
-                TraceEvent::Recv { from, tag } => ReplayOp::Recv {
-                    from: *from,
-                    tag: *tag,
-                },
-            })
-            .collect();
+        let mut ops = Vec::new();
+        push_replay_ops(&self.events, &mut ops);
         ProcessScript {
             rank: self.rank,
             ops,
@@ -128,9 +194,9 @@ pub struct TraceSet {
 }
 
 impl TraceSet {
-    /// Total number of events across all ranks.
+    /// Total number of events across all ranks, loops unrolled.
     pub fn event_count(&self) -> usize {
-        self.traces.iter().map(|t| t.events.len()).sum()
+        self.traces.iter().map(|t| t.event_count() as usize).sum()
     }
 
     /// Total messages sent across all ranks.
@@ -191,19 +257,32 @@ impl TraceSet {
             }
         }
         use std::collections::HashMap;
-        let mut sends: HashMap<(usize, usize, u32), i64> = HashMap::new();
-        for t in &self.traces {
-            for e in &t.events {
+        /// Add `times` × each message of `events` to the balance: +1 per
+        /// send, −1 per receive, keyed by `(from, to, tag)`.
+        fn tally(
+            rank: usize,
+            events: &[TraceEvent],
+            times: i128,
+            sends: &mut HashMap<(usize, usize, u32), i128>,
+        ) {
+            for e in events {
                 match e {
                     TraceEvent::Send { to, tag, .. } => {
-                        *sends.entry((t.rank, *to, *tag)).or_default() += 1;
+                        *sends.entry((rank, *to, *tag)).or_default() += times;
                     }
                     TraceEvent::Recv { from, tag } => {
-                        *sends.entry((*from, t.rank, *tag)).or_default() -= 1;
+                        *sends.entry((*from, rank, *tag)).or_default() -= times;
+                    }
+                    TraceEvent::Repeat { count, body } => {
+                        tally(rank, body, times.saturating_mul(i128::from(*count)), sends);
                     }
                     TraceEvent::Compute { .. } => {}
                 }
             }
+        }
+        let mut sends = HashMap::new();
+        for t in &self.traces {
+            tally(t.rank, &t.events, 1, &mut sends);
         }
         for ((from, to, tag), balance) in sends {
             if balance != 0 {
@@ -328,5 +407,112 @@ mod tests {
         let mut misnumbered = ts;
         misnumbered.traces[1].rank = 5;
         assert!(!misnumbered.validate().is_empty());
+    }
+
+    /// The two-rank sample as a 50-sweep loop between a set-up block and
+    /// a final exchange, with a nested inner loop in rank 1's sweep.
+    fn looped() -> TraceSet {
+        let mut ts = sample();
+        for t in &mut ts.traces {
+            let sweep = std::mem::take(&mut t.events);
+            let mut body = sweep.clone();
+            if t.rank == 1 {
+                body.insert(
+                    0,
+                    TraceEvent::Repeat {
+                        count: 3,
+                        body: vec![TraceEvent::Compute {
+                            ns: 7_000,
+                            block: "inner".into(),
+                        }],
+                    },
+                );
+            }
+            t.events = vec![
+                TraceEvent::Compute {
+                    ns: 5_000,
+                    block: "setup".into(),
+                },
+                TraceEvent::Repeat { count: 50, body },
+                TraceEvent::Repeat {
+                    count: 0,
+                    body: sweep.clone(),
+                },
+            ];
+            t.events.extend(sweep);
+        }
+        ts
+    }
+
+    fn flattened(ts: &TraceSet) -> TraceSet {
+        let mut flat = ts.clone();
+        for t in &mut flat.traces {
+            t.events = t.unrolled();
+        }
+        flat
+    }
+
+    #[test]
+    fn a_flat_trace_file_from_before_loops_still_reads() {
+        let json = r#"{"app":"demo","nprocs":2,"opt_level":"3","traces":[{"rank":0,"events":[{"Compute":{"ns":1000000,"block":"sweep"}},{"Send":{"to":1,"bytes":9600,"tag":1}},{"Recv":{"from":1,"tag":1}}]},{"rank":1,"events":[{"Compute":{"ns":2000000,"block":"sweep"}},{"Send":{"to":0,"bytes":9600,"tag":1}},{"Recv":{"from":0,"tag":1}}]}]}"#;
+        assert_eq!(TraceSet::from_json(json).unwrap(), sample());
+    }
+
+    #[test]
+    fn loop_traces_round_trip_and_count_like_their_unrolled_form() {
+        let ts = looped();
+        let flat = flattened(&ts);
+        assert_eq!(TraceSet::from_json(&ts.to_json()).unwrap(), ts);
+        assert_eq!(ts.event_count(), flat.event_count());
+        assert_eq!(ts.event_count(), 1 + 50 * 3 + 3 + 1 + 50 * 3 + 3 + 50 * 3);
+        assert_eq!(ts.total_messages(), flat.total_messages());
+        assert_eq!(ts.max_compute_time(), flat.max_compute_time());
+        for (t, f) in ts.traces.iter().zip(&flat.traces) {
+            assert_eq!(t.event_count(), f.events.len() as u64);
+            assert_eq!(t.sends(), f.sends());
+            assert_eq!(t.recvs(), f.recvs());
+            assert_eq!(t.compute_time(), f.compute_time());
+        }
+        assert!(ts.validate().is_empty());
+        // An unmatched send inside the loop counts 50 times.
+        let mut broken = ts.clone();
+        if let TraceEvent::Repeat { body, .. } = &mut broken.traces[0].events[1] {
+            body.push(TraceEvent::Send {
+                to: 1,
+                bytes: 1,
+                tag: 9,
+            });
+        }
+        assert_eq!(
+            broken.validate(),
+            vec!["unbalanced messages 0 -> 1 tag 9: +50"]
+        );
+    }
+
+    #[test]
+    fn loop_traces_replay_like_their_unrolled_form() {
+        use netsim::{cluster_bordeplage, replay, HostSpec, ReplayConfig};
+        let ts = looped();
+        let scripts = ts.to_replay_scripts();
+        // The empty-count loop is kept; the rest is one header per loop.
+        assert!(matches!(
+            scripts[0].ops[1],
+            ReplayOp::Repeat { count: 50, len: 3 }
+        ));
+        let topo = cluster_bordeplage(2, HostSpec::default());
+        let cfg = ReplayConfig::default();
+        let got = replay(topo.platform.clone(), &topo.hosts, &scripts, &cfg).unwrap();
+        let want = replay(
+            topo.platform,
+            &topo.hosts,
+            &flattened(&ts).to_replay_scripts(),
+            &cfg,
+        )
+        .unwrap();
+        assert_eq!(got.finish_times, want.finish_times);
+        assert_eq!(got.compute_time, want.compute_time);
+        assert_eq!(got.wait_time, want.wait_time);
+        assert_eq!(got.messages_sent, want.messages_sent);
+        assert_eq!(got.net_stats, want.net_stats);
     }
 }

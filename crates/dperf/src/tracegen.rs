@@ -71,17 +71,8 @@ pub fn generate_traces(
         if let Some(f) = rank_env {
             env = env.overlaid_with(&f(rank, nprocs, &global));
         }
-        // One cheap counting pass (loop trip counts and guards resolved the
-        // same way the emitting pass resolves them) sizes the event vector
-        // exactly, so the emitting pass never reallocates.
-        let expected = count_events(&program.body, ctx, &env);
-        let mut events = Vec::with_capacity(expected);
+        let mut events = Vec::new();
         emit_stmts(&program.body, ctx, &env, bencher, &mut names, &mut events);
-        debug_assert_eq!(
-            events.len(),
-            expected,
-            "count_events must size the event vector exactly"
-        );
         traces.push(ProcessTrace { rank, events });
     }
     TraceSet {
@@ -89,66 +80,6 @@ pub fn generate_traces(
         nprocs,
         opt_level: opt_label.to_string(),
         traces,
-    }
-}
-
-/// Count the events `emit_stmts` will produce for the same inputs, without
-/// benchmarking any block. Used to pre-size the event vectors.
-fn count_events(stmts: &[Stmt], ctx: RankContext, env: &ParamEnv) -> usize {
-    let mut total = 0usize;
-    for stmt in stmts {
-        match stmt {
-            Stmt::Compute(_) => total += 1,
-            Stmt::Comm(call) => {
-                let Some(peer) = call.peer.resolve(ctx) else {
-                    continue;
-                };
-                if peer == ctx.rank {
-                    continue;
-                }
-                total += match call.kind {
-                    CommKind::Send | CommKind::Recv => 1,
-                    CommKind::SendRecv => 2,
-                };
-            }
-            Stmt::Collective(coll) => total += collective_event_count(coll.kind, ctx),
-            Stmt::Loop { count, body } => {
-                let trips = count.eval_count(env) as usize;
-                total += trips * count_events(body, ctx, env);
-            }
-            Stmt::If {
-                guard,
-                then_branch,
-                else_branch,
-            } => {
-                total += if guard.eval(ctx, env) {
-                    count_events(then_branch, ctx, env)
-                } else {
-                    count_events(else_branch, ctx, env)
-                };
-            }
-        }
-    }
-    total
-}
-
-/// Number of point-to-point events a collective expands to on this rank.
-fn collective_event_count(kind: CollectiveKind, ctx: RankContext) -> usize {
-    if ctx.nprocs == 1 {
-        return 0;
-    }
-    match kind {
-        CollectiveKind::Gather | CollectiveKind::Broadcast => {
-            if ctx.is_coordinator() {
-                ctx.nprocs - 1
-            } else {
-                1
-            }
-        }
-        CollectiveKind::AllReduce => {
-            collective_event_count(CollectiveKind::Gather, ctx)
-                + collective_event_count(CollectiveKind::Broadcast, ctx)
-        }
     }
 }
 
@@ -205,9 +136,19 @@ fn emit_stmts<'p>(
                 expand_collective(coll.kind, bytes, coll.tag, ctx, out);
             }
             Stmt::Loop { count, body } => {
+                // One iteration's events and the trip count: each block of
+                // the loop is benchmarked once, as dPerf does (§III-D.2).
                 let trips = count.eval_count(env);
-                for _ in 0..trips {
-                    emit_stmts(body, ctx, env, bencher, names, out);
+                if trips == 0 {
+                    continue;
+                }
+                let mut once = Vec::new();
+                emit_stmts(body, ctx, env, bencher, names, &mut once);
+                if !once.is_empty() {
+                    out.push(TraceEvent::Repeat {
+                        count: trips,
+                        body: once,
+                    });
                 }
             }
             Stmt::If {
@@ -348,7 +289,7 @@ mod tests {
         // halo-exchange sends (tag 7) only, ignoring the reduction traffic.
         let halo_sends = |rank: usize| {
             ts.traces[rank]
-                .events
+                .unrolled()
                 .iter()
                 .filter(|e| matches!(e, TraceEvent::Send { tag: 7, .. }))
                 .count()
@@ -366,7 +307,7 @@ mod tests {
         assert_eq!(halo_sends(3), 3);
         let last = &ts.traces[3];
         let sends_to: Vec<usize> = last
-            .events
+            .unrolled()
             .iter()
             .filter_map(|e| match e {
                 TraceEvent::Send { to, .. } => Some(*to),
@@ -446,10 +387,9 @@ mod tests {
             Some(&rows),
             "3",
         );
-        let blocks: Vec<&std::sync::Arc<str>> = ts
-            .traces
+        let unrolled: Vec<TraceEvent> = ts.traces.iter().flat_map(|t| t.unrolled()).collect();
+        let blocks: Vec<&std::sync::Arc<str>> = unrolled
             .iter()
-            .flat_map(|t| t.events.iter())
             .filter_map(|e| match e {
                 TraceEvent::Compute { block, .. } => Some(block),
                 _ => None,
@@ -500,8 +440,36 @@ mod tests {
             &topo.hosts,
             &scripts,
             &ReplayConfig::default(),
-        );
+        )
+        .unwrap();
         assert!(res.makespan >= ts.max_compute_time());
         assert_eq!(res.messages_sent as usize, ts.total_messages());
+    }
+
+    #[test]
+    fn each_block_is_benchmarked_once_per_loop() {
+        struct Counting(std::cell::Cell<usize>, ModeledBencher);
+        impl BlockBencher for Counting {
+            fn block_time(&self, block: &ComputeBlock, env: &ParamEnv) -> p2p_common::SimDuration {
+                self.0.set(self.0.get() + 1);
+                self.1.block_time(block, env)
+            }
+        }
+        let bencher = Counting(std::cell::Cell::new(0), bencher(OptLevel::O3));
+        let p = stencil();
+        let ts = generate_traces(&p, &ParamEnv::new(), 4, &bencher, Some(&rows), "3");
+        // One compute block in the loop body, four ranks: four benchmarks,
+        // not 3 × 4.
+        assert_eq!(bencher.0.get(), 4);
+        for t in &ts.traces {
+            assert!(matches!(
+                t.events[..],
+                [TraceEvent::Repeat { count: 3, .. }]
+            ));
+        }
+        assert_eq!(
+            ts.traces[1].event_count(),
+            ts.traces[1].unrolled().len() as u64
+        );
     }
 }

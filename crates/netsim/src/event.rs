@@ -457,6 +457,26 @@ impl<E> Scheduler<E> {
             + self.far.capacity() * size_of::<FarRec>()
     }
 
+    /// Every pending event with its time, in pop order. The replay's
+    /// period search reads the queue through it.
+    pub(crate) fn pending_in_order(&self) -> Vec<(SimTime, &E)> {
+        let mut recs: Vec<Rec> = Vec::with_capacity(self.pending());
+        recs.extend_from_slice(&self.cur[self.cur_pos..]);
+        for b in &self.buckets {
+            recs.extend_from_slice(b);
+        }
+        recs.extend(self.far.iter().map(|f| f.0));
+        recs.sort_unstable_by_key(Rec::key);
+        recs.iter()
+            .map(|rec| {
+                let event = self.slots[rec.slot as usize]
+                    .as_ref()
+                    .expect("pending record without arena slot");
+                (rec.time, event)
+            })
+            .collect()
+    }
+
     /// Time of the next pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.cur.get(self.cur_pos).map(|r| r.time)

@@ -3,9 +3,9 @@
 //! dPerf's prediction step "uses the MSG module for replaying trace files
 //! based on a deployment platform defined by us" (paper §III-D.1). This module
 //! is that replay kernel: every process (rank) owns a *script* of operations —
-//! compute for some duration, send a message, wait for a message — and the
-//! engine executes all scripts against a [`Platform`], yielding the simulated
-//! makespan `t_predicted`.
+//! compute for some duration, send a message, wait for a message, repeat a
+//! block of operations — and the engine executes all scripts against a
+//! [`Platform`], yielding the simulated makespan `t_predicted`.
 //!
 //! Message semantics are the eager/rendezvous-free semantics the P2PDC
 //! obstacle code relies on: a `Send` is asynchronous (the sender continues
@@ -22,12 +22,28 @@
 //! streamed in with [`ReplaySession::push_ops`], virtual time advanced
 //! incrementally, and the whole session checkpointed to disk and resumed
 //! bit-identically through the [`checkpoint`](mod@crate::checkpoint) envelope.
+//!
+//! # Loops and the periodic fast-forward
+//!
+//! Scripts are loop-structured: a [`ReplayOp::Repeat`] header runs the ops
+//! after it a given number of times, so a 900-sweep solver is one sweep long
+//! on paper. Under [`SharingMode::Bottleneck`] the replay of such a loop is
+//! a max-plus linear system, which turns periodic after a finite transient.
+//! Each time rank 0 starts a new iteration of its outermost loop while every
+//! rank is inside a loop, the kernel compares the whole replay state, with
+//! every clock taken relative to the current instant, against a saved one
+//! (Brent's cycle search picks which). When the two agree, everything that
+//! follows repeats with a fixed time shift, so the kernel skips whole
+//! periods at once: clocks move by the period's duration, every counter by
+//! its per-period increment, and the remaining iterations and the ops after
+//! the loop replay normally. The result is the one the event-by-event replay
+//! gives, to the nanosecond and the byte.
 
 use crate::checkpoint::{self, CheckpointError};
-use crate::event::{run_world, Scheduler, World};
+use crate::event::{Scheduler, World};
 use crate::network::{FlowDelivery, NetEvent, NetStats, NetWorldEvent, Network, SharingMode};
 use crate::platform::Platform;
-use p2p_common::{DataSize, HostId, IdMap, SimDuration, SimTime};
+use p2p_common::{DataSize, FlowId, HostId, IdMap, SimDuration, SimTime};
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::hash_map::Entry;
 use std::path::Path;
@@ -68,6 +84,27 @@ pub enum ReplayOp {
         /// Tag used by both halves.
         tag: u32,
     },
+    /// Loop header: the next `len` ops of the script (the body) run `count`
+    /// times, then the script goes on after them. A body may hold further
+    /// headers (nested loops) but must not be empty; a zero `count` skips
+    /// the body. [`ReplayOp::push_repeat`] writes a header and its body.
+    Repeat {
+        /// How many times the body runs.
+        count: u64,
+        /// Ops in the body, nested headers and their bodies included.
+        len: usize,
+    },
+}
+
+impl ReplayOp {
+    /// Append a loop running `body` `count` times to `ops`.
+    pub fn push_repeat(ops: &mut Vec<ReplayOp>, count: u64, body: &[ReplayOp]) {
+        ops.push(ReplayOp::Repeat {
+            count,
+            len: body.len(),
+        });
+        ops.extend_from_slice(body);
+    }
 }
 
 /// The full operation list of one rank.
@@ -126,7 +163,7 @@ impl Default for ReplayConfig {
 }
 
 /// Outcome of a replay.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplayResult {
     /// Completion time of the slowest rank — the predicted execution time.
     pub makespan: SimDuration,
@@ -154,11 +191,29 @@ enum ProcState {
     Done,
 }
 
+/// One loop a rank is inside: the position of its `Repeat` header and the
+/// iteration under way (0-based).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Frame {
+    head: usize,
+    iter: u64,
+}
+
+/// The body end and trip count of the loop whose header sits at `head`.
+fn loop_bounds(ops: &[ReplayOp], head: usize) -> (usize, u64) {
+    match ops[head] {
+        ReplayOp::Repeat { count, len } => (head + 1 + len, count),
+        _ => unreachable!("a loop frame points at its Repeat header"),
+    }
+}
+
 #[derive(Debug)]
 struct Proc {
     host: HostId,
     ops: Vec<ReplayOp>,
     pc: usize,
+    /// The loops the rank is inside, outermost first.
+    loops: Vec<Frame>,
     state: ProcState,
     /// Delivered, not yet received messages: a count per `(from, tag)`.
     /// Payloads are not modelled, so a count describes the queue fully.
@@ -193,29 +248,47 @@ impl Proc {
             Entry::Vacant(_) => false,
         }
     }
-}
 
-// Hand-written serde: the mailbox is keyed by `(usize, u32)` tuples, which
-// the shim's map encoding cannot express as JSON object keys. Each count
-// becomes a `[from, tag, count]` triple, sorted so the encoding is canonical
-// regardless of hash iteration order.
-impl Serialize for Proc {
-    fn to_value(&self) -> Value {
+    /// The mailbox as sorted `(from, tag, count)` triples.
+    fn sorted_mailbox(&self) -> Vec<(usize, u32, u64)> {
         let mut mail: Vec<(usize, u32, u64)> = self
             .mailbox
             .iter()
             .map(|(&(from, tag), &n)| (from, tag, n))
             .collect();
         mail.sort_unstable();
-        Value::Object(vec![
+        mail
+    }
+}
+
+// Hand-written serde: the mailbox is keyed by `(usize, u32)` tuples, which
+// the shim's map encoding cannot express as JSON object keys. Each count
+// becomes a `[from, tag, count]` triple, sorted so the encoding is canonical
+// regardless of hash iteration order. Open loops ride in a `loops` field of
+// `[head, iter]` pairs, present only while the rank is inside a loop, so a
+// loop-free replay encodes exactly as before loops existed.
+impl Serialize for Proc {
+    fn to_value(&self) -> Value {
+        let mut fields = vec![
             ("host".to_owned(), self.host.to_value()),
             ("ops".to_owned(), self.ops.to_value()),
             ("pc".to_owned(), self.pc.to_value()),
+        ];
+        if !self.loops.is_empty() {
+            let loops = self
+                .loops
+                .iter()
+                .map(|f| Value::Array(vec![f.head.to_value(), f.iter.to_value()]))
+                .collect();
+            fields.push(("loops".to_owned(), Value::Array(loops)));
+        }
+        fields.extend([
             ("state".to_owned(), self.state.to_value()),
             (
                 "mailbox".to_owned(),
                 Value::Array(
-                    mail.into_iter()
+                    self.sorted_mailbox()
+                        .into_iter()
                         .map(|(f, t, n)| {
                             Value::Array(vec![f.to_value(), t.to_value(), n.to_value()])
                         })
@@ -226,7 +299,8 @@ impl Serialize for Proc {
             ("compute_total".to_owned(), self.compute_total.to_value()),
             ("wait_total".to_owned(), self.wait_total.to_value()),
             ("wait_since".to_owned(), self.wait_since.to_value()),
-        ])
+        ]);
+        Value::Object(fields)
     }
 }
 
@@ -243,6 +317,7 @@ impl Deserialize for Proc {
                 ops.len()
             )));
         }
+        let loops: Option<Vec<(usize, u64)>> = serde::field(fields, "loops", "Proc")?;
         let triples: Vec<(usize, u32, u64)> = serde::field(fields, "mailbox", "Proc")?;
         let mut mailbox: IdMap<(usize, u32), u64> = IdMap::default();
         for (from, tag, count) in triples {
@@ -254,6 +329,11 @@ impl Deserialize for Proc {
             host: serde::field(fields, "host", "Proc")?,
             ops,
             pc,
+            loops: loops
+                .unwrap_or_default()
+                .into_iter()
+                .map(|(head, iter)| Frame { head, iter })
+                .collect(),
             state: serde::field(fields, "state", "Proc")?,
             mailbox,
             finish: serde::field(fields, "finish", "Proc")?,
@@ -285,6 +365,64 @@ impl NetWorldEvent for Ev {
     }
 }
 
+/// A message in flight, without the ids that name it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Msg {
+    src: usize,
+    dst: usize,
+    tag: u32,
+    bytes: u64,
+}
+
+/// What a pending event does when it fires.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pending {
+    Resume(usize),
+    Deliver(Msg),
+}
+
+/// Rank whose outermost-loop iterations clock the period search.
+const REFERENCE_RANK: usize = 0;
+
+/// One rank in a [`Snapshot`].
+#[derive(Debug)]
+struct ProcSnap {
+    pc: usize,
+    loops: Vec<Frame>,
+    state: ProcState,
+    /// How long the rank has been blocked, if it is waiting.
+    waited: SimDuration,
+    mailbox: Vec<(usize, u32, u64)>,
+    compute_total: SimDuration,
+    wait_total: SimDuration,
+}
+
+/// The replay state at an iteration boundary of the reference rank, with
+/// every clock relative to `now`, plus the counters a jump extrapolates.
+#[derive(Debug)]
+struct Snapshot {
+    now: SimTime,
+    /// The reference rank's outermost-loop iteration.
+    ref_iter: u64,
+    procs: Vec<ProcSnap>,
+    /// Pending events in pop order, as `(time - now, effect)`.
+    pending: Vec<(SimDuration, Pending)>,
+    messages_sent: u64,
+    stats: NetStats,
+}
+
+/// Brent's cycle search over the states seen at the reference rank's
+/// iteration boundaries: the saved snapshot is replaced whenever `lam`
+/// reaches `power`, which then doubles. One snapshot is held at a time, and
+/// a period of any length is found within a few periods of the transient's
+/// end.
+#[derive(Debug, Default)]
+struct Detector {
+    saved: Option<Snapshot>,
+    power: u64,
+    lam: u64,
+}
+
 struct ReplayWorld {
     net: Network,
     procs: Vec<Proc>,
@@ -292,14 +430,61 @@ struct ReplayWorld {
     token_info: IdMap<u64, (usize, usize, u32)>, // token -> (src, dst, tag)
     next_token: u64,
     messages_sent: u64,
+    /// Network counters skipped over by jumps, added to the network's own.
+    jumped: NetStats,
+    /// The period search; `None` under `MaxMinFair`, whose flows interact.
+    detect: Option<Detector>,
+    /// Set when the reference rank starts a new outermost-loop iteration.
+    crossed: bool,
+    /// The message each flow slot carries, with the flow id that owns it
+    /// (kept while the period search runs; rebuilt as flows start, so a
+    /// restored session fingerprints once its older flows have landed).
+    flow_msgs: Vec<Option<(FlowId, Msg)>>,
 }
 
 impl ReplayWorld {
+    fn new(
+        net: Network,
+        procs: Vec<Proc>,
+        protocol: ProtocolCosts,
+        token_info: IdMap<u64, (usize, usize, u32)>,
+        next_token: u64,
+        messages_sent: u64,
+        jumped: NetStats,
+    ) -> Self {
+        let detect = (net.mode() == SharingMode::Bottleneck).then(Detector::default);
+        ReplayWorld {
+            net,
+            procs,
+            protocol,
+            token_info,
+            next_token,
+            messages_sent,
+            jumped,
+            detect,
+            crossed: false,
+            flow_msgs: Vec::new(),
+        }
+    }
+
     fn advance(&mut self, sched: &mut Scheduler<Ev>, rank: usize) {
         loop {
             let p = &mut self.procs[rank];
             if p.state == ProcState::Done {
                 return;
+            }
+            if let Some(f) = p.loops.last_mut() {
+                let (end, count) = loop_bounds(&p.ops, f.head);
+                if p.pc == end {
+                    f.iter += 1;
+                    if f.iter < count {
+                        p.pc = f.head + 1;
+                        self.crossed |= rank == REFERENCE_RANK && p.loops.len() == 1;
+                    } else {
+                        p.loops.pop();
+                    }
+                    continue;
+                }
             }
             let Some(&op) = p.ops.get(p.pc) else {
                 p.state = ProcState::Done;
@@ -334,6 +519,17 @@ impl ReplayWorld {
                         return;
                     }
                 }
+                ReplayOp::Repeat { count, len } => {
+                    if count == 0 {
+                        p.pc += 1 + len;
+                    } else {
+                        p.loops.push(Frame {
+                            head: p.pc,
+                            iter: 0,
+                        });
+                        p.pc += 1;
+                    }
+                }
                 ReplayOp::SendRecv { .. } => {
                     unreachable!("SendRecv is expanded before the replay starts")
                 }
@@ -349,7 +545,6 @@ impl ReplayWorld {
         bytes: u64,
         tag: u32,
     ) {
-        assert!(to < self.procs.len(), "send to unknown rank {to}");
         let token = self.next_token;
         self.next_token += 1;
         self.token_info.insert(token, (from, to, tag));
@@ -357,7 +552,20 @@ impl ReplayWorld {
         let size = DataSize::from_bytes(bytes + self.protocol.header_bytes);
         let src_host = self.procs[from].host;
         let dst_host = self.procs[to].host;
-        self.net.start_flow(sched, src_host, dst_host, size, token);
+        let flow = self.net.start_flow(sched, src_host, dst_host, size, token);
+        if self.detect.is_some() {
+            let slot = flow.slot() as usize;
+            if slot >= self.flow_msgs.len() {
+                self.flow_msgs.resize(slot + 1, None);
+            }
+            let msg = Msg {
+                src: from,
+                dst: to,
+                tag,
+                bytes,
+            };
+            self.flow_msgs[slot] = Some((flow, msg));
+        }
     }
 
     fn deliver(&mut self, sched: &mut Scheduler<Ev>, delivery: FlowDelivery) {
@@ -382,6 +590,258 @@ impl ReplayWorld {
             p.busy(sched, dst, cpu);
         }
     }
+
+    /// The pending events in pop order, relative to `now`; `None` if one of
+    /// them is a flow whose message is unknown (started before a restore).
+    fn pending(&self, sched: &Scheduler<Ev>) -> Option<Vec<(SimDuration, Pending)>> {
+        let now = sched.now();
+        sched
+            .pending_in_order()
+            .into_iter()
+            .map(|(t, ev)| {
+                let effect = match *ev {
+                    Ev::Resume { rank } => Pending::Resume(rank),
+                    Ev::Net(NetEvent::FlowCompletion { flow, .. }) => {
+                        let (id, msg) = (*self.flow_msgs.get(flow.slot() as usize)?)?;
+                        if id != flow {
+                            return None;
+                        }
+                        Pending::Deliver(msg)
+                    }
+                    Ev::Net(_) => return None,
+                };
+                Some((t.duration_since(now), effect))
+            })
+            .collect()
+    }
+
+    fn snapshot(&self, sched: &Scheduler<Ev>) -> Option<Snapshot> {
+        let now = sched.now();
+        let procs = self
+            .procs
+            .iter()
+            .map(|p| ProcSnap {
+                pc: p.pc,
+                loops: p.loops.clone(),
+                state: p.state,
+                waited: waited(p, now),
+                mailbox: p.sorted_mailbox(),
+                compute_total: p.compute_total,
+                wait_total: p.wait_total,
+            })
+            .collect();
+        Some(Snapshot {
+            now,
+            ref_iter: self.procs[REFERENCE_RANK].loops[0].iter,
+            procs,
+            pending: self.pending(sched)?,
+            messages_sent: self.messages_sent,
+            stats: self.net.stats().clone(),
+        })
+    }
+
+    /// Whether the live state is `saved` advanced by `c` iterations of every
+    /// rank's outermost loop: same positions, wait states, mailboxes and
+    /// pending events, every clock at the same distance from the present.
+    /// The cheap per-rank fields are compared first, so a state that drifts
+    /// (a growing mailbox) is told apart without listing the event queue.
+    fn repeats(&self, saved: &Snapshot, c: u64, sched: &Scheduler<Ev>) -> bool {
+        let now = sched.now();
+        let procs_agree = self.procs.iter().zip(&saved.procs).all(|(p, s)| {
+            p.pc == s.pc
+                && p.state == s.state
+                && waited(p, now) == s.waited
+                && p.loops.len() == s.loops.len()
+                && p.loops
+                    .iter()
+                    .zip(&s.loops)
+                    .enumerate()
+                    .all(|(depth, (f, g))| {
+                        let shift = if depth == 0 { c } else { 0 };
+                        f.head == g.head && g.iter.checked_add(shift) == Some(f.iter)
+                    })
+                && p.mailbox.len() == s.mailbox.len()
+                && s.mailbox
+                    .iter()
+                    .all(|&(from, tag, n)| p.mailbox.get(&(from, tag)) == Some(&n))
+        });
+        procs_agree && self.pending(sched).is_some_and(|q| q == saved.pending)
+    }
+
+    /// Called after an event in which the reference rank started a new
+    /// outermost-loop iteration. Looks for a period and, if one is found,
+    /// skips as many whole periods as every rank's loop and the horizon
+    /// `limit` allow. Returns whether it jumped.
+    fn on_boundary(&mut self, sched: &mut Scheduler<Ev>, limit: Option<SimTime>) -> bool {
+        let Some(mut det) = self.detect.take() else {
+            return false;
+        };
+        let jumped = self.search(&mut det, sched, limit);
+        self.detect = Some(det);
+        jumped
+    }
+
+    fn search(
+        &mut self,
+        det: &mut Detector,
+        sched: &mut Scheduler<Ev>,
+        limit: Option<SimTime>,
+    ) -> bool {
+        if self.procs.iter().any(|p| p.loops.is_empty()) {
+            *det = Detector::default();
+            return false;
+        }
+        let ref_iter = self.procs[REFERENCE_RANK].loops[0].iter;
+        if let Some(saved) = &det.saved {
+            let c = ref_iter.checked_sub(saved.ref_iter).filter(|&c| c > 0);
+            if let Some(c) = c.filter(|&c| self.repeats(saved, c, sched)) {
+                if let Some(m) = self.periods_to_skip(saved, c, sched, limit) {
+                    let saved = det.saved.take().expect("matched against it");
+                    self.skip(&saved, c, m, sched);
+                    *det = Detector::default();
+                    return true;
+                }
+            }
+        }
+        if det.saved.is_none() || det.lam == det.power {
+            det.power = if det.saved.is_none() {
+                1
+            } else {
+                det.power * 2
+            };
+            det.saved = self.snapshot(sched);
+            det.lam = 0;
+        }
+        det.lam += 1;
+        false
+    }
+
+    /// How many whole periods of `c` iterations (lasting `now - saved.now`)
+    /// can be skipped: each rank must still be inside its outermost loop
+    /// afterwards, the new clock must not pass `limit`, and no clock or
+    /// counter may overflow. `None` when that is zero periods.
+    fn periods_to_skip(
+        &self,
+        saved: &Snapshot,
+        c: u64,
+        sched: &Scheduler<Ev>,
+        limit: Option<SimTime>,
+    ) -> Option<u64> {
+        let now = sched.now();
+        let period = now.duration_since(saved.now).as_nanos();
+        let mut m = u64::MAX;
+        for p in &self.procs {
+            let f = p.loops[0];
+            let (_, count) = loop_bounds(&p.ops, f.head);
+            m = m.min((count - 1 - f.iter) / c);
+        }
+        if let (Some(limit), true) = (limit, period > 0) {
+            m = m.min(limit.duration_since(now).as_nanos() / period);
+        }
+        if m == 0 {
+            return None;
+        }
+        // Every clock and every counter must stay representable.
+        let shift = period.checked_mul(m)?;
+        let latest = saved
+            .pending
+            .last()
+            .map_or(0, |(offset, _)| offset.as_nanos());
+        now.as_nanos().checked_add(latest)?.checked_add(shift)?;
+        for (p, s) in self.procs.iter().zip(&saved.procs) {
+            for (total, before) in [
+                (p.compute_total, s.compute_total),
+                (p.wait_total, s.wait_total),
+            ] {
+                let step = total.as_nanos() - before.as_nanos();
+                step.checked_mul(m)?.checked_add(total.as_nanos())?;
+            }
+        }
+        let step = self.messages_sent - saved.messages_sent;
+        step.checked_mul(m)?.checked_add(self.messages_sent)?;
+        Some(m)
+    }
+
+    /// Skip `m` periods: what `m` more rounds of the period from `saved` to
+    /// now would do, in one step.
+    fn skip(&mut self, saved: &Snapshot, c: u64, m: u64, sched: &mut Scheduler<Ev>) {
+        let shift = SimDuration::from_nanos(sched.now().duration_since(saved.now).as_nanos() * m);
+        let grow = |now: SimDuration, before: SimDuration| {
+            now + SimDuration::from_nanos((now.as_nanos() - before.as_nanos()) * m)
+        };
+        for (p, s) in self.procs.iter_mut().zip(&saved.procs) {
+            p.loops[0].iter += c * m;
+            p.compute_total = grow(p.compute_total, s.compute_total);
+            p.wait_total = grow(p.wait_total, s.wait_total);
+            p.wait_since = p.wait_since.saturating_add(shift);
+        }
+        self.messages_sent += (self.messages_sent - saved.messages_sent) * m;
+        let skipped = zip_stats(self.net.stats(), &saved.stats, |now, before| {
+            (now - before).saturating_mul(m)
+        });
+        self.jumped = zip_stats(&self.jumped, &skipped, u64::saturating_add);
+        shift_queue(sched, shift);
+    }
+}
+
+/// How long `p` has been blocked at `now` (zero unless it is waiting).
+fn waited(p: &Proc, now: SimTime) -> SimDuration {
+    match p.state {
+        ProcState::Waiting { .. } => now.duration_since(p.wait_since),
+        _ => SimDuration::ZERO,
+    }
+}
+
+/// Move the clock and every pending event of `sched` forward by `shift`,
+/// keeping their order, through the queue's own checkpoint form.
+fn shift_queue(sched: &mut Scheduler<Ev>, shift: SimDuration) {
+    let later = |v: &mut Value| {
+        let t = v.as_u64().expect("queue times encode as integers");
+        *v = (t + shift.as_nanos()).to_value();
+    };
+    let mut v = sched.to_value();
+    let Value::Object(fields) = &mut v else {
+        unreachable!("a scheduler encodes as an object")
+    };
+    for (key, value) in fields.iter_mut() {
+        match (key.as_str(), value) {
+            ("now", now) => later(now),
+            ("pending", Value::Array(entries)) => {
+                for entry in entries {
+                    let Value::Array(triple) = entry else {
+                        unreachable!("pending entries encode as triples")
+                    };
+                    later(&mut triple[0]);
+                }
+            }
+            _ => {}
+        }
+    }
+    *sched = Scheduler::from_value(&v).expect("a shifted queue decodes");
+}
+
+/// All-zero counters for a platform of `links` directed links.
+fn zero_stats(links: usize) -> NetStats {
+    NetStats {
+        link_bytes: vec![0; links],
+        ..NetStats::default()
+    }
+}
+
+/// `f` applied to each pair of counters of `a` and `b`.
+fn zip_stats(a: &NetStats, b: &NetStats, f: impl Fn(u64, u64) -> u64) -> NetStats {
+    NetStats {
+        flows_started: f(a.flows_started, b.flows_started),
+        flows_completed: f(a.flows_completed, b.flows_completed),
+        bytes_delivered: f(a.bytes_delivered, b.bytes_delivered),
+        control_messages: f(a.control_messages, b.control_messages),
+        link_bytes: a
+            .link_bytes
+            .iter()
+            .zip(&b.link_bytes)
+            .map(|(&x, &y)| f(x, y))
+            .collect(),
+    }
 }
 
 impl World for ReplayWorld {
@@ -402,10 +862,90 @@ impl World for ReplayWorld {
     }
 }
 
-/// Expand `SendRecv` into `Send` followed by `Recv`.
+/// What is wrong with one op of a script or a pushed batch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum OpFault {
+    UnknownPeer(usize),
+    EmptyRepeat,
+    RepeatOverrun,
+    TooLong,
+}
+
+/// Check `ops` for a replay of `ranks` ranks: every peer is a rank, every
+/// loop body is non-empty and ends inside the body (or script) around it,
+/// and the number of ops the replay runs, loops unrolled and `SendRecv`
+/// counted twice, fits a `u64`. Reports the position and kind of the first
+/// fault. Nesting is walked with an explicit stack, so
+/// no depth of loops can overflow the call stack.
+fn check_ops(ops: &[ReplayOp], ranks: usize) -> Result<(), (usize, OpFault)> {
+    // Loops around `pc`: (header position, end of the enclosing body, trip
+    // count, ops counted in the enclosing body before the header).
+    let mut open: Vec<(usize, usize, u64, u64)> = Vec::new();
+    let (mut pc, mut end, mut total) = (0usize, ops.len(), 0u64);
+    loop {
+        while pc == end {
+            let Some((head, outer_end, count, before)) = open.pop() else {
+                return Ok(());
+            };
+            total = total
+                .checked_mul(count)
+                .and_then(|n| n.checked_add(before))
+                .ok_or((head, OpFault::TooLong))?;
+            end = outer_end;
+        }
+        let peer_ok = |peer: usize| {
+            if peer < ranks {
+                Ok(())
+            } else {
+                Err((pc, OpFault::UnknownPeer(peer)))
+            }
+        };
+        let n = match ops[pc] {
+            ReplayOp::Compute { .. } => 1,
+            ReplayOp::Send { to: peer, .. } | ReplayOp::Recv { from: peer, .. } => {
+                peer_ok(peer)?;
+                1
+            }
+            ReplayOp::SendRecv { to, from, .. } => {
+                peer_ok(to)?;
+                peer_ok(from)?;
+                2
+            }
+            ReplayOp::Repeat { count, len } => {
+                if len == 0 {
+                    return Err((pc, OpFault::EmptyRepeat));
+                }
+                if len > end - pc - 1 {
+                    return Err((pc, OpFault::RepeatOverrun));
+                }
+                open.push((pc, end, count, total));
+                (end, total) = (pc + 1 + len, 0);
+                pc += 1;
+                continue;
+            }
+        };
+        total = total.checked_add(n).ok_or((pc, OpFault::TooLong))?;
+        pc += 1;
+    }
+}
+
+/// Expand `SendRecv` into `Send` followed by `Recv`, fixing the length of
+/// every loop body around it. `ops` must have passed [`check_ops`].
 fn expand_ops(ops: &[ReplayOp]) -> Vec<ReplayOp> {
     let mut out = Vec::with_capacity(ops.len());
-    for &op in ops {
+    // Loops being copied: (header position in `out`, body end in `ops`).
+    let mut open: Vec<(usize, usize)> = Vec::new();
+    let close = |out: &mut Vec<ReplayOp>, head: usize| {
+        let body = out.len() - head - 1;
+        if let ReplayOp::Repeat { len, .. } = &mut out[head] {
+            *len = body;
+        }
+    };
+    for (pc, &op) in ops.iter().enumerate() {
+        while let Some(&(head, _)) = open.last().filter(|&&(_, end)| end == pc) {
+            open.pop();
+            close(&mut out, head);
+        }
         match op {
             ReplayOp::SendRecv {
                 to,
@@ -416,11 +956,121 @@ fn expand_ops(ops: &[ReplayOp]) -> Vec<ReplayOp> {
                 out.push(ReplayOp::Send { to, bytes, tag });
                 out.push(ReplayOp::Recv { from, tag });
             }
+            ReplayOp::Repeat { len, .. } => {
+                open.push((out.len(), pc + 1 + len));
+                out.push(op);
+            }
             other => out.push(other),
         }
     }
+    while let Some((head, _)) = open.pop() {
+        close(&mut out, head);
+    }
     out
 }
+
+/// Why a script set cannot be replayed ([`ReplaySession::new`], [`replay`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScriptError {
+    /// The number of host mappings differs from the number of scripts.
+    HostCount {
+        /// Host mappings given.
+        hosts: usize,
+        /// Scripts given.
+        scripts: usize,
+    },
+    /// Script `index` declares another rank.
+    Misnumbered {
+        /// Position of the script in the list.
+        index: usize,
+        /// The rank it declares.
+        rank: usize,
+    },
+    /// A rank maps to a host the platform does not have.
+    UnknownHost {
+        /// The rank.
+        rank: usize,
+        /// The host it maps to.
+        host: HostId,
+    },
+    /// Op `op` of rank `rank`'s script names `peer`, which is not a rank.
+    UnknownPeer {
+        /// The rank whose script it is.
+        rank: usize,
+        /// Position of the op in the script.
+        op: usize,
+        /// The peer it names.
+        peer: usize,
+    },
+    /// Op `op` of rank `rank`'s script is a `Repeat` with an empty body.
+    EmptyRepeat {
+        /// The rank whose script it is.
+        rank: usize,
+        /// Position of the header in the script.
+        op: usize,
+    },
+    /// Op `op` of rank `rank`'s script is a `Repeat` whose body runs past
+    /// the end of the body or script around it.
+    RepeatOverrun {
+        /// The rank whose script it is.
+        rank: usize,
+        /// Position of the header in the script.
+        op: usize,
+    },
+    /// Rank `rank`'s script, loops unrolled, has more than `u64::MAX` ops.
+    TooLong {
+        /// The rank whose script it is.
+        rank: usize,
+    },
+}
+
+impl ScriptError {
+    fn from_fault(rank: usize, (op, fault): (usize, OpFault)) -> Self {
+        match fault {
+            OpFault::UnknownPeer(peer) => ScriptError::UnknownPeer { rank, op, peer },
+            OpFault::EmptyRepeat => ScriptError::EmptyRepeat { rank, op },
+            OpFault::RepeatOverrun => ScriptError::RepeatOverrun { rank, op },
+            OpFault::TooLong => ScriptError::TooLong { rank },
+        }
+    }
+}
+
+impl std::fmt::Display for ScriptError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            ScriptError::HostCount { hosts, scripts } => {
+                write!(f, "{scripts} scripts but {hosts} host mappings")
+            }
+            ScriptError::Misnumbered { index, rank } => {
+                write!(f, "script {index} declares rank {rank}")
+            }
+            ScriptError::UnknownHost { rank, host } => {
+                write!(f, "rank {rank} maps to {host}, which the platform lacks")
+            }
+            ScriptError::UnknownPeer { rank, op, peer } => write!(
+                f,
+                "rank {rank}: op {op} names rank {peer}, which is not in the replay"
+            ),
+            ScriptError::EmptyRepeat { rank, op } => {
+                write!(f, "rank {rank}: op {op} repeats an empty body")
+            }
+            ScriptError::RepeatOverrun { rank, op } => {
+                write!(
+                    f,
+                    "rank {rank}: the body of op {op} runs past its enclosing body"
+                )
+            }
+            ScriptError::TooLong { rank } => {
+                write!(
+                    f,
+                    "rank {rank}: the unrolled script overflows a u64 op count"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for ScriptError {}
 
 /// Why [`ReplaySession::push_ops`] rejected a batch of operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -438,6 +1088,30 @@ pub enum PushError {
         /// The peer it names.
         peer: usize,
     },
+    /// Operation `op` of the batch is a `Repeat` with an empty body.
+    EmptyRepeat {
+        /// Position of the header in the batch.
+        op: usize,
+    },
+    /// Operation `op` of the batch is a `Repeat` whose body runs past the
+    /// end of the body or batch around it.
+    RepeatOverrun {
+        /// Position of the header in the batch.
+        op: usize,
+    },
+    /// The batch, loops unrolled, has more than `u64::MAX` ops.
+    TooLong,
+}
+
+impl PushError {
+    fn from_fault((op, fault): (usize, OpFault)) -> Self {
+        match fault {
+            OpFault::UnknownPeer(peer) => PushError::UnknownPeer { op, peer },
+            OpFault::EmptyRepeat => PushError::EmptyRepeat { op },
+            OpFault::RepeatOverrun => PushError::RepeatOverrun { op },
+            OpFault::TooLong => PushError::TooLong,
+        }
+    }
 }
 
 impl std::fmt::Display for PushError {
@@ -447,11 +1121,64 @@ impl std::fmt::Display for PushError {
             PushError::UnknownPeer { op, peer } => {
                 write!(f, "op {op} names rank {peer}, which is not in the replay")
             }
+            PushError::EmptyRepeat { op } => write!(f, "op {op} repeats an empty body"),
+            PushError::RepeatOverrun { op } => {
+                write!(f, "the body of op {op} runs past its enclosing body")
+            }
+            PushError::TooLong => write!(f, "the unrolled batch overflows a u64 op count"),
         }
     }
 }
 
 impl std::error::Error for PushError {}
+
+/// Check that the open loops `loops` and the program counter `pc` describe
+/// a place in `ops`: each frame is a `Repeat` header inside the body of the
+/// one before, on an iteration below its count, `pc` lies in the innermost
+/// body (its end included), and no loop without a frame encloses a frame's
+/// header or `pc`.
+fn check_frames(ops: &[ReplayOp], pc: usize, loops: &[Frame]) -> Result<(), String> {
+    // Step over whole loops from `at` to `target`: one that straddles
+    // `target` encloses it without a frame.
+    let walk = |mut at: usize, target: usize| {
+        while at < target {
+            match ops[at] {
+                ReplayOp::Repeat { len, .. } if at + 1 + len > target => {
+                    return Err(format!("op {at} encloses op {target} without a frame"));
+                }
+                ReplayOp::Repeat { len, .. } => at += 1 + len,
+                _ => at += 1,
+            }
+        }
+        Ok(())
+    };
+    let (mut start, mut end) = (0, ops.len());
+    for f in loops {
+        if f.head < start || f.head >= end {
+            return Err(format!(
+                "loop at op {} lies outside its enclosing body",
+                f.head
+            ));
+        }
+        walk(start, f.head)?;
+        let ReplayOp::Repeat { count, len } = ops[f.head] else {
+            return Err(format!("loop frame at op {} is not a Repeat", f.head));
+        };
+        if f.iter >= count {
+            return Err(format!(
+                "loop at op {} is on iteration {} of {count}",
+                f.head, f.iter
+            ));
+        }
+        (start, end) = (f.head + 1, f.head + 1 + len);
+    }
+    if pc < start || pc > end {
+        return Err(format!(
+            "program counter {pc} is outside its innermost loop"
+        ));
+    }
+    walk(start, pc)
+}
 
 /// An interruptible, checkpointable replay.
 ///
@@ -474,14 +1201,16 @@ impl std::error::Error for PushError {}
 ///     ProcessScript { rank: 1, ops: vec![ReplayOp::Recv { from: 0, tag: 0 }] },
 /// ];
 /// let mut session = ReplaySession::new(
-///     topo.platform, &topo.hosts[..2], &scripts, &ReplayConfig::default());
+///     topo.platform, &topo.hosts[..2], &scripts, &ReplayConfig::default()).unwrap();
 /// session.run_until(None);
 ///
-/// // Checkpoint at the end, restore, and stream more work into rank 0.
+/// // Checkpoint at the end, restore, and stream a loop of work into rank 0.
 /// let snapshot = session.checkpoint();
 /// let mut resumed = ReplaySession::restore(&snapshot).unwrap();
-/// resumed.push_ops(0, &[ReplayOp::Compute {
-///     duration: p2p_common::SimDuration::from_millis(5) }]).unwrap();
+/// let mut ops = Vec::new();
+/// ReplayOp::push_repeat(&mut ops, 3, &[ReplayOp::Compute {
+///     duration: p2p_common::SimDuration::from_millis(5) }]);
+/// resumed.push_ops(0, &ops).unwrap();
 /// resumed.run_until(None);
 /// assert!(resumed.result().makespan > session.result().makespan);
 /// ```
@@ -495,21 +1224,33 @@ impl ReplaySession {
     /// `rank_hosts[i]`, without running it. Every rank is primed with a
     /// wake-up at `t = 0`.
     ///
-    /// Panics if the number of scripts and host mappings differ, or if a
-    /// script's `rank` field does not match its position.
+    /// Fails if the number of scripts and host mappings differ, a script's
+    /// `rank` field does not match its position, a rank maps to a host the
+    /// platform lacks, or a script is malformed (see [`ScriptError`]).
     pub fn new(
         platform: Platform,
         rank_hosts: &[HostId],
         scripts: &[ProcessScript],
         cfg: &ReplayConfig,
-    ) -> Self {
-        assert_eq!(
-            rank_hosts.len(),
-            scripts.len(),
-            "need exactly one host per process script"
-        );
-        for (i, s) in scripts.iter().enumerate() {
-            assert_eq!(s.rank, i, "script {i} declares rank {}", s.rank);
+    ) -> Result<Self, ScriptError> {
+        if rank_hosts.len() != scripts.len() {
+            return Err(ScriptError::HostCount {
+                hosts: rank_hosts.len(),
+                scripts: scripts.len(),
+            });
+        }
+        let ranks = scripts.len();
+        for (i, (s, &host)) in scripts.iter().zip(rank_hosts).enumerate() {
+            if s.rank != i {
+                return Err(ScriptError::Misnumbered {
+                    index: i,
+                    rank: s.rank,
+                });
+            }
+            if host.index() >= platform.host_count() {
+                return Err(ScriptError::UnknownHost { rank: i, host });
+            }
+            check_ops(&s.ops, ranks).map_err(|fault| ScriptError::from_fault(i, fault))?;
         }
         let procs: Vec<Proc> = scripts
             .iter()
@@ -518,6 +1259,7 @@ impl ReplaySession {
                 host: h,
                 ops: expand_ops(&s.ops),
                 pc: 0,
+                loops: Vec::new(),
                 state: ProcState::Ready,
                 mailbox: IdMap::default(),
                 finish: None,
@@ -527,27 +1269,37 @@ impl ReplaySession {
             })
             .collect();
         let net = Network::new(platform, cfg.sharing);
-        let world = ReplayWorld {
-            net,
-            procs,
-            protocol: cfg.protocol,
-            token_info: IdMap::default(),
-            next_token: 0,
-            messages_sent: 0,
-        };
+        let jumped = zero_stats(net.stats().link_bytes.len());
+        let world = ReplayWorld::new(net, procs, cfg.protocol, IdMap::default(), 0, 0, jumped);
         let mut sched: Scheduler<Ev> = Scheduler::new();
         // Kick every rank off at t = 0.
         for rank in 0..world.procs.len() {
             sched.schedule_at(SimTime::ZERO, Ev::Resume { rank });
         }
-        ReplaySession { world, sched }
+        Ok(ReplaySession { world, sched })
     }
 
     /// Run until the event queue is empty, or (with `Some(limit)`) until the
     /// next event would fire past `limit`. Returns the timestamp of the last
-    /// event processed.
+    /// event processed. Under `Bottleneck` sharing, whole periods of a loop
+    /// may be skipped in one step (see the module docs); a skip never
+    /// carries the clock past `limit`.
     pub fn run_until(&mut self, limit: Option<SimTime>) -> SimTime {
-        run_world(&mut self.world, &mut self.sched, limit)
+        let mut last = self.sched.now();
+        while let Some(next) = self.sched.peek_time() {
+            if limit.is_some_and(|limit| next > limit) {
+                break;
+            }
+            let (t, ev) = self.sched.pop().expect("peeked event must exist");
+            self.world.handle(&mut self.sched, ev);
+            last = t;
+            if std::mem::take(&mut self.world.crossed)
+                && self.world.on_boundary(&mut self.sched, limit)
+            {
+                last = self.sched.now();
+            }
+        }
+        last
     }
 
     /// The session's virtual clock.
@@ -572,29 +1324,24 @@ impl ReplaySession {
     }
 
     /// Append operations to rank `rank`'s script while the replay is live —
-    /// the streaming entry point. `SendRecv` is expanded exactly as in
-    /// [`ReplaySession::new`]. A rank that had already finished is revived:
-    /// its finish time is cleared and it resumes at the current virtual time.
+    /// the streaming entry point. `SendRecv` is expanded and `Repeat` bodies
+    /// are checked exactly as in [`ReplaySession::new`]. A rank that had
+    /// already finished is revived: its finish time is cleared and it
+    /// resumes at the current virtual time.
     ///
     /// Rejects the whole batch, leaving the session unchanged, if `rank` or
-    /// a peer named by one of `ops` is not a rank of the replay.
+    /// a peer named by one of `ops` is not a rank of the replay, or a loop
+    /// in the batch is malformed.
     pub fn push_ops(&mut self, rank: usize, ops: &[ReplayOp]) -> Result<(), PushError> {
         let ranks = self.world.procs.len();
         if rank >= ranks {
             return Err(PushError::UnknownRank { rank });
         }
-        for (op, &o) in ops.iter().enumerate() {
-            let peers = match o {
-                ReplayOp::Compute { .. } => continue,
-                ReplayOp::Send { to, .. } => [to; 2],
-                ReplayOp::Recv { from, .. } => [from; 2],
-                ReplayOp::SendRecv { to, from, .. } => [to, from],
-            };
-            if let Some(peer) = peers.into_iter().find(|&p| p >= ranks) {
-                return Err(PushError::UnknownPeer { op, peer });
-            }
-        }
+        check_ops(ops, ranks).map_err(PushError::from_fault)?;
         let expanded = expand_ops(ops);
+        if let Some(det) = &mut self.world.detect {
+            *det = Detector::default();
+        }
         let p = &mut self.world.procs[rank];
         p.ops.extend(expanded);
         if p.state == ProcState::Done {
@@ -632,15 +1379,21 @@ impl ReplaySession {
             compute_time: self.world.procs.iter().map(|p| p.compute_total).collect(),
             wait_time: self.world.procs.iter().map(|p| p.wait_total).collect(),
             messages_sent: self.world.messages_sent,
-            net_stats: self.world.net.stats().clone(),
+            net_stats: zip_stats(
+                self.world.net.stats(),
+                &self.world.jumped,
+                u64::saturating_add,
+            ),
         }
     }
 
     /// Encode the full session into a checkpoint envelope [`Value`]. The
     /// process table, in-flight message tokens and protocol costs ride in
-    /// the envelope's `world` slot alongside the network and scheduler.
+    /// the envelope's `world` slot alongside the network and scheduler,
+    /// and, once periods have been skipped, the network counters they
+    /// account for (`jumped`).
     pub fn checkpoint(&self) -> Value {
-        let world = Value::Object(vec![
+        let mut world = vec![
             ("procs".to_owned(), self.world.procs.to_value()),
             ("protocol".to_owned(), self.world.protocol.to_value()),
             ("token_info".to_owned(), self.world.token_info.to_value()),
@@ -649,8 +1402,12 @@ impl ReplaySession {
                 "messages_sent".to_owned(),
                 self.world.messages_sent.to_value(),
             ),
-        ]);
-        checkpoint::encode(&self.world.net, &self.sched, world)
+        ];
+        let jumped = &self.world.jumped;
+        if *jumped != zero_stats(jumped.link_bytes.len()) {
+            world.push(("jumped".to_owned(), jumped.to_value()));
+        }
+        checkpoint::encode(&self.world.net, &self.sched, Value::Object(world))
     }
 
     /// Rebuild a session from an envelope produced by
@@ -675,22 +1432,29 @@ impl ReplaySession {
                     p.host
                 )));
             }
-            for (pc, op) in p.ops.iter().enumerate() {
-                let peer = match *op {
-                    ReplayOp::Compute { .. } => continue,
-                    ReplayOp::Send { to, .. } => to,
-                    ReplayOp::Recv { from, .. } => from,
-                    // Scripts are stored expanded; the kernel never runs one.
-                    ReplayOp::SendRecv { .. } => {
-                        return Err(CheckpointError::Format(format!(
-                            "rank {i}: op {pc} is an unexpanded SendRecv"
-                        )));
-                    }
-                };
-                if peer >= ranks {
+            // Scripts are stored expanded; the kernel never runs a SendRecv.
+            if let Some(pc) = p
+                .ops
+                .iter()
+                .position(|op| matches!(op, ReplayOp::SendRecv { .. }))
+            {
+                return Err(CheckpointError::Format(format!(
+                    "rank {i}: op {pc} is an unexpanded SendRecv"
+                )));
+            }
+            match check_ops(&p.ops, ranks) {
+                Ok(()) => {}
+                Err((pc, OpFault::UnknownPeer(peer))) => {
                     return bad(i, format!("op {pc} names rank {peer}"));
                 }
+                Err(fault) => {
+                    return Err(CheckpointError::Format(
+                        ScriptError::from_fault(i, fault).to_string(),
+                    ));
+                }
             }
+            check_frames(&p.ops, p.pc, &p.loops)
+                .map_err(|e| CheckpointError::Format(format!("rank {i}: {e}")))?;
             if let ProcState::Waiting { from, .. } = p.state {
                 if from >= ranks {
                     return bad(i, format!("waits for rank {from}"));
@@ -717,17 +1481,25 @@ impl ReplaySession {
                 "a flow in flight carries token {token}, which names no message"
             )));
         }
-        Ok(ReplaySession {
-            world: ReplayWorld {
-                net,
-                procs,
-                protocol: serde::field(fields, "protocol", "ReplaySession")?,
-                token_info,
-                next_token,
-                messages_sent: serde::field(fields, "messages_sent", "ReplaySession")?,
-            },
-            sched,
-        })
+        let links = net.stats().link_bytes.len();
+        let jumped: Option<NetStats> = serde::field(fields, "jumped", "ReplaySession")?;
+        let jumped = jumped.unwrap_or_else(|| zero_stats(links));
+        if jumped.link_bytes.len() != links {
+            return Err(CheckpointError::Format(format!(
+                "skipped-period counters cover {} links, the platform has {links}",
+                jumped.link_bytes.len()
+            )));
+        }
+        let world = ReplayWorld::new(
+            net,
+            procs,
+            serde::field(fields, "protocol", "ReplaySession")?,
+            token_info,
+            next_token,
+            serde::field(fields, "messages_sent", "ReplaySession")?,
+            jumped,
+        );
+        Ok(ReplaySession { world, sched })
     }
 
     /// Write the session to a checkpoint file.
@@ -749,17 +1521,16 @@ impl ReplaySession {
 
 /// Replay `scripts` on `platform`, mapping rank `i` to `rank_hosts[i]`.
 ///
-/// Panics if the number of scripts and host mappings differ, or if a script's
-/// `rank` field does not match its position.
+/// Fails like [`ReplaySession::new`] on a malformed script set.
 pub fn replay(
     platform: Platform,
     rank_hosts: &[HostId],
     scripts: &[ProcessScript],
     cfg: &ReplayConfig,
-) -> ReplayResult {
-    let mut session = ReplaySession::new(platform, rank_hosts, scripts, cfg);
+) -> Result<ReplayResult, ScriptError> {
+    let mut session = ReplaySession::new(platform, rank_hosts, scripts, cfg)?;
     session.run_until(None);
-    session.result()
+    Ok(session.result())
 }
 
 #[cfg(test)]
@@ -809,7 +1580,7 @@ mod tests {
                 ops: vec![compute(20), compute(5)],
             },
         ];
-        let res = replay(p, &hosts, &scripts, &ReplayConfig::default());
+        let res = replay(p, &hosts, &scripts, &ReplayConfig::default()).unwrap();
         assert_eq!(res.makespan, SimDuration::from_millis(30));
         assert_eq!(res.compute_time[2], SimDuration::from_millis(25));
         assert_eq!(res.messages_sent, 0);
@@ -833,7 +1604,7 @@ mod tests {
                 ops: vec![ReplayOp::Recv { from: 0, tag: 0 }],
             },
         ];
-        let res = replay(p, &hosts, &scripts, &ReplayConfig::default());
+        let res = replay(p, &hosts, &scripts, &ReplayConfig::default()).unwrap();
         assert_eq!(res.makespan, SimDuration::from_micros(1200));
         assert_eq!(res.wait_time[1], SimDuration::from_micros(1200));
         assert_eq!(res.wait_time[0], SimDuration::ZERO);
@@ -859,7 +1630,7 @@ mod tests {
                 ops: vec![compute(2), xchg(0), compute(1)],
             },
         ];
-        let res = replay(p, &hosts, &scripts, &ReplayConfig::default());
+        let res = replay(p, &hosts, &scripts, &ReplayConfig::default()).unwrap();
         // Rank 1 computes 2 ms, exchanges (~0.968 ms), computes 1 ms more.
         assert!(res.makespan > SimDuration::from_millis(3));
         assert!(res.makespan < SimDuration::from_millis(5));
@@ -885,7 +1656,7 @@ mod tests {
                 ops: vec![ReplayOp::Recv { from: 0, tag: 1 }],
             },
         ];
-        let res = replay(p, &hosts, &scripts, &ReplayConfig::default());
+        let res = replay(p, &hosts, &scripts, &ReplayConfig::default()).unwrap();
         assert!(res.wait_time[1] >= SimDuration::from_millis(50));
         assert!(res.makespan >= SimDuration::from_millis(50));
     }
@@ -919,7 +1690,7 @@ mod tests {
                 ],
             },
         ];
-        let res = replay(p, &hosts, &scripts, &ReplayConfig::default());
+        let res = replay(p, &hosts, &scripts, &ReplayConfig::default()).unwrap();
         assert_eq!(res.messages_sent, 2);
         assert!(res.finish_times[1] > SimTime::ZERO);
     }
@@ -962,7 +1733,7 @@ mod tests {
             sharing: SharingMode::Bottleneck,
             protocol,
         };
-        let res = replay(p, &hosts, &scripts, &cfg);
+        let res = replay(p, &hosts, &scripts, &cfg).unwrap();
         // Receiver pays 2 * 50 us of protocol processing.
         assert_eq!(res.compute_time[0], SimDuration::from_micros(100));
         assert_eq!(res.compute_time[1], SimDuration::from_micros(50));
@@ -984,7 +1755,7 @@ mod tests {
                 ops: vec![ReplayOp::Recv { from: 0, tag: 9 }],
             },
         ];
-        replay(p, &hosts, &scripts, &ReplayConfig::default());
+        replay(p, &hosts, &scripts, &ReplayConfig::default()).unwrap();
     }
 
     #[test]
@@ -1009,7 +1780,7 @@ mod tests {
             }
             scripts.push(ProcessScript { rank: r, ops });
         }
-        let res = replay(p, &hosts, &scripts, &ReplayConfig::default());
+        let res = replay(p, &hosts, &scripts, &ReplayConfig::default()).unwrap();
         assert_eq!(res.messages_sent, (n - 1) as u64);
         // The token must travel through all ranks: makespan well above a single hop.
         assert!(res.makespan > SimDuration::from_millis(3));
@@ -1045,11 +1816,11 @@ mod tests {
             },
         };
 
-        let mut uninterrupted = ReplaySession::new(p.clone(), &hosts, &scripts, &cfg);
+        let mut uninterrupted = ReplaySession::new(p.clone(), &hosts, &scripts, &cfg).unwrap();
         uninterrupted.run_until(None);
         let want = uninterrupted.result();
 
-        let mut paused = ReplaySession::new(p, &hosts, &scripts, &cfg);
+        let mut paused = ReplaySession::new(p, &hosts, &scripts, &cfg).unwrap();
         paused.run_until(Some(SimTime::from_millis(20)));
         let snapshot = paused.checkpoint();
         // Serialization is canonical: a second snapshot of the same state is
@@ -1103,11 +1874,11 @@ mod tests {
     fn bottleneck_session_restores_with_messages_in_flight() {
         let (p, hosts, scripts, cfg) = bottleneck_ring();
         assert_eq!(cfg.sharing, SharingMode::Bottleneck);
-        let mut uninterrupted = ReplaySession::new(p.clone(), &hosts, &scripts, &cfg);
+        let mut uninterrupted = ReplaySession::new(p.clone(), &hosts, &scripts, &cfg).unwrap();
         uninterrupted.run_until(None);
         let want = uninterrupted.result();
 
-        let mut paused = ReplaySession::new(p, &hosts, &scripts, &cfg);
+        let mut paused = ReplaySession::new(p, &hosts, &scripts, &cfg).unwrap();
         paused.run_until(Some(SimTime::from_millis(1)));
         assert_eq!(
             paused.world.token_info.len(),
@@ -1133,7 +1904,7 @@ mod tests {
     /// after replacing the first occurrence of each `(from, to)` pair.
     fn edited_ring_checkpoint(edits: &[(&str, &str)]) -> Value {
         let (p, hosts, scripts, cfg) = bottleneck_ring();
-        let mut s = ReplaySession::new(p, &hosts, &scripts, &cfg);
+        let mut s = ReplaySession::new(p, &hosts, &scripts, &cfg).unwrap();
         s.run_until(Some(SimTime::from_millis(1)));
         let mut text = serde_json::to_string(&s.checkpoint()).unwrap();
         for (from, to) in edits {
@@ -1194,7 +1965,7 @@ mod tests {
                 ops: vec![ReplayOp::Recv { from: 0, tag: 3 }],
             },
         ];
-        let mut s = ReplaySession::new(p, &hosts, &scripts, &ReplayConfig::default());
+        let mut s = ReplaySession::new(p, &hosts, &scripts, &ReplayConfig::default()).unwrap();
         s.run_until(Some(SimTime::from_millis(1)));
         let text = serde_json::to_string(&s.checkpoint()).unwrap();
         let waiting = r#"{"Waiting":{"from":0,"tag":3}}"#;
@@ -1217,7 +1988,7 @@ mod tests {
                 ops: vec![],
             },
         ];
-        let mut s = ReplaySession::new(p, &hosts, &scripts, &ReplayConfig::default());
+        let mut s = ReplaySession::new(p, &hosts, &scripts, &ReplayConfig::default()).unwrap();
         s.run_until(None);
         assert!(s.finished());
         let first = s.result().makespan;
@@ -1255,7 +2026,7 @@ mod tests {
                 ops: vec![],
             },
         ];
-        let mut s = ReplaySession::new(p, &hosts, &scripts, &ReplayConfig::default());
+        let mut s = ReplaySession::new(p, &hosts, &scripts, &ReplayConfig::default()).unwrap();
         s.run_until(None);
         rejected(&mut s);
         assert!(s.finished(), "a rejected push revives no rank");
@@ -1340,14 +2111,437 @@ mod tests {
                 ops: vec![ReplayOp::Recv { from: 0, tag: 0 }],
             },
         ];
-        let a = replay(p.clone(), &hosts, &scripts, &ReplayConfig::default());
+        let a = replay(p.clone(), &hosts, &scripts, &ReplayConfig::default()).unwrap();
         let cfg = ReplayConfig {
             sharing: SharingMode::MaxMinFair,
             protocol: ProtocolCosts::none(),
         };
-        let b = replay(p, &hosts, &scripts, &cfg);
+        let b = replay(p, &hosts, &scripts, &cfg).unwrap();
         let rel =
             (a.makespan.as_secs_f64() - b.makespan.as_secs_f64()).abs() / a.makespan.as_secs_f64();
         assert!(rel < 0.01, "models disagree by {rel}");
+    }
+
+    /// `ops` with every loop written out: the flat script a loop-free
+    /// replay takes as its oracle.
+    fn unroll(ops: &[ReplayOp]) -> Vec<ReplayOp> {
+        let mut out = Vec::new();
+        let mut pc = 0;
+        while pc < ops.len() {
+            match ops[pc] {
+                ReplayOp::Repeat { count, len } => {
+                    let body = unroll(&ops[pc + 1..pc + 1 + len]);
+                    for _ in 0..count {
+                        out.extend_from_slice(&body);
+                    }
+                    pc += 1 + len;
+                }
+                op => {
+                    out.push(op);
+                    pc += 1;
+                }
+            }
+        }
+        out
+    }
+
+    fn unrolled(scripts: &[ProcessScript]) -> Vec<ProcessScript> {
+        scripts
+            .iter()
+            .map(|s| ProcessScript {
+                rank: s.rank,
+                ops: unroll(&s.ops),
+            })
+            .collect()
+    }
+
+    /// The event-by-event replay: the same kernel with the period search
+    /// switched off.
+    fn full_replay(
+        p: Platform,
+        hosts: &[HostId],
+        scripts: &[ProcessScript],
+        cfg: &ReplayConfig,
+    ) -> ReplayResult {
+        let mut s = ReplaySession::new(p, hosts, scripts, cfg).unwrap();
+        s.world.detect = None;
+        s.run_until(None);
+        s.result()
+    }
+
+    /// A stencil sweep with a gather/broadcast reduction on `n` ranks of
+    /// the Bordeplage cluster, `sweeps` times, with uneven compute, a
+    /// prefix before the loop and a tail after it.
+    fn sweeps(n: usize, sweeps: u64) -> (Platform, Vec<HostId>, Vec<ProcessScript>) {
+        let topo = crate::topology::cluster_bordeplage(n, HostSpec::default());
+        let scripts = (0..n)
+            .map(|r| {
+                let mut body = vec![ReplayOp::Compute {
+                    duration: SimDuration::from_micros(900 + 130 * r as u64),
+                }];
+                for peer in [r.wrapping_sub(1), r + 1] {
+                    if peer < n {
+                        body.push(ReplayOp::SendRecv {
+                            to: peer,
+                            from: peer,
+                            bytes: 9_600,
+                            tag: 1,
+                        });
+                    }
+                }
+                if r == 0 {
+                    body.extend((1..n).map(|from| ReplayOp::Recv { from, tag: 2 }));
+                    body.extend((1..n).map(|to| ReplayOp::Send {
+                        to,
+                        bytes: 8,
+                        tag: 2,
+                    }));
+                } else {
+                    body.push(ReplayOp::Send {
+                        to: 0,
+                        bytes: 8,
+                        tag: 2,
+                    });
+                    body.push(ReplayOp::Recv { from: 0, tag: 2 });
+                }
+                let mut ops = vec![compute(1 + r as u64)];
+                ReplayOp::push_repeat(&mut ops, sweeps, &body);
+                ops.push(compute(2));
+                ProcessScript { rank: r, ops }
+            })
+            .collect();
+        (topo.platform, topo.hosts[..n].to_vec(), scripts)
+    }
+
+    fn with_costs() -> ProtocolCosts {
+        ProtocolCosts {
+            header_bytes: 64,
+            send_cpu: SimDuration::from_micros(20),
+            recv_cpu: SimDuration::from_micros(20),
+        }
+    }
+
+    #[test]
+    fn repeat_scripts_replay_like_their_unrolled_form() {
+        // Nested loops, a SendRecv inside a body, a skipped loop, and a
+        // loop at the very end of a script.
+        let (p, hosts) = star_platform(3);
+        // Shift around the ring one way, then the other.
+        let exchange = |to: usize, from: usize| ReplayOp::SendRecv {
+            to,
+            from,
+            bytes: 40_000,
+            tag: 4,
+        };
+        let mut scripts = Vec::new();
+        for r in 0..3 {
+            let mut inner = Vec::new();
+            ReplayOp::push_repeat(&mut inner, 3, &[compute(1 + r as u64)]);
+            let mut body = inner.clone();
+            body.push(exchange((r + 1) % 3, (r + 2) % 3));
+            body.push(exchange((r + 2) % 3, (r + 1) % 3));
+            let mut ops = Vec::new();
+            ReplayOp::push_repeat(&mut ops, 0, &[compute(50)]);
+            ReplayOp::push_repeat(&mut ops, 4, &body);
+            ReplayOp::push_repeat(&mut ops, 2, &inner);
+            scripts.push(ProcessScript { rank: r, ops });
+        }
+        let (sp, shosts, sscripts) = sweeps(5, 40);
+        for sharing in [SharingMode::Bottleneck, SharingMode::MaxMinFair] {
+            for protocol in [ProtocolCosts::none(), with_costs()] {
+                let cfg = ReplayConfig { sharing, protocol };
+                for (p, hosts, scripts) in [
+                    (p.clone(), &hosts, &scripts),
+                    (sp.clone(), &shosts, &sscripts),
+                ] {
+                    let want = replay(p.clone(), hosts, &unrolled(scripts), &cfg).unwrap();
+                    assert_eq!(replay(p.clone(), hosts, scripts, &cfg).unwrap(), want);
+                    assert_eq!(full_replay(p, hosts, scripts, &cfg), want);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bottleneck_sweeps_skip_periods_and_keep_every_count() {
+        for protocol in [ProtocolCosts::none(), with_costs()] {
+            let cfg = ReplayConfig {
+                protocol,
+                ..ReplayConfig::default()
+            };
+            let (p, hosts, scripts) = sweeps(6, 900);
+            let mut s = ReplaySession::new(p.clone(), &hosts, &scripts, &cfg).unwrap();
+            s.run_until(None);
+            assert!(s.world.jumped.flows_started > 0, "no period was skipped");
+            assert!(s.world.jumped.link_bytes.iter().any(|&b| b > 0));
+            assert_eq!(s.result(), full_replay(p, &hosts, &scripts, &cfg));
+        }
+    }
+
+    #[test]
+    fn maxmin_replays_never_search_for_a_period() {
+        let (p, hosts, scripts) = sweeps(4, 30);
+        let cfg = ReplayConfig {
+            sharing: SharingMode::MaxMinFair,
+            protocol: ProtocolCosts::none(),
+        };
+        let mut s = ReplaySession::new(p, &hosts, &scripts, &cfg).unwrap();
+        assert!(s.world.detect.is_none());
+        s.run_until(None);
+        assert!(s.world.flow_msgs.is_empty());
+        assert_eq!(s.world.jumped, zero_stats(s.world.jumped.link_bytes.len()));
+    }
+
+    #[test]
+    fn a_growing_mailbox_is_never_periodic() {
+        // Rank 0 sends two messages per sweep, rank 1 takes one: rank 1's
+        // mailbox grows every sweep, so nothing repeats, and the backlog is
+        // drained after the loop.
+        let (p, hosts) = star_platform(2);
+        let send = ReplayOp::Send {
+            to: 1,
+            bytes: 1_000,
+            tag: 0,
+        };
+        let mut zero = Vec::new();
+        ReplayOp::push_repeat(&mut zero, 200, &[compute(1), send, send]);
+        let mut one = Vec::new();
+        ReplayOp::push_repeat(
+            &mut one,
+            200,
+            &[compute(1), ReplayOp::Recv { from: 0, tag: 0 }],
+        );
+        ReplayOp::push_repeat(&mut one, 200, &[ReplayOp::Recv { from: 0, tag: 0 }]);
+        let scripts = vec![
+            ProcessScript { rank: 0, ops: zero },
+            ProcessScript { rank: 1, ops: one },
+        ];
+        let cfg = ReplayConfig::default();
+        let mut s = ReplaySession::new(p.clone(), &hosts, &scripts, &cfg).unwrap();
+        s.run_until(None);
+        assert_eq!(s.world.jumped.flows_started, 0);
+        assert_eq!(s.result(), full_replay(p, &hosts, &scripts, &cfg));
+    }
+
+    #[test]
+    fn a_horizon_stops_a_skip_short_and_increments_add_up() {
+        let (p, hosts, scripts) = sweeps(4, 900);
+        let cfg = ReplayConfig::default();
+        let want = full_replay(p.clone(), &hosts, &scripts, &cfg);
+        let mut s = ReplaySession::new(p, &hosts, &scripts, &cfg).unwrap();
+        let step = SimDuration::from_nanos(want.makespan.as_nanos() / 7);
+        let mut limit = SimTime::ZERO;
+        while s.pending() > 0 {
+            limit += step;
+            let last = s.run_until(Some(limit));
+            assert!(last <= limit && s.now() <= limit, "ran past the horizon");
+        }
+        assert!(s.world.jumped.flows_started > 0, "no period was skipped");
+        assert_eq!(s.result(), want);
+    }
+
+    #[test]
+    fn checkpoints_mid_loop_and_after_a_skip_restore_to_the_same_result() {
+        let (p, hosts, scripts) = sweeps(5, 600);
+        let cfg = ReplayConfig {
+            protocol: with_costs(),
+            ..ReplayConfig::default()
+        };
+        let want = full_replay(p.clone(), &hosts, &scripts, &cfg);
+        // Cut in the transient, after a skip up to the cut, and near the
+        // end, after the skip of the whole loop.
+        let early = SimTime::from_millis(3);
+        let mid = SimTime::from_millis(40);
+        let late = SimTime::from_nanos(want.makespan.as_nanos() / 10 * 9);
+        for cut in [early, mid, late] {
+            let mut s = ReplaySession::new(p.clone(), &hosts, &scripts, &cfg).unwrap();
+            s.run_until(Some(cut));
+            let skipped = s.world.jumped.flows_started > 0;
+            assert_eq!(skipped, cut != early);
+            let text = serde_json::to_string(&s.checkpoint()).unwrap();
+            assert!(text.contains(r#""loops":[["#));
+            assert_eq!(text.contains(r#""jumped":"#), skipped);
+            let mut resumed =
+                ReplaySession::restore(&serde_json::from_str(&text).unwrap()).unwrap();
+            assert_eq!(serde_json::to_string(&resumed.checkpoint()).unwrap(), text);
+            resumed.run_until(None);
+            assert_eq!(resumed.result(), want);
+        }
+    }
+
+    #[test]
+    fn malformed_scripts_are_errors() {
+        let (p, hosts) = star_platform(2);
+        let cfg = ReplayConfig::default();
+        let new = |scripts: &[ProcessScript], hosts: &[HostId]| {
+            ReplaySession::new(p.clone(), hosts, scripts, &cfg).err()
+        };
+        let script = |rank: usize, ops: Vec<ReplayOp>| ProcessScript { rank, ops };
+        let fine = || vec![script(0, vec![compute(1)]), script(1, vec![])];
+        assert_eq!(
+            new(&fine(), &hosts[..1]),
+            Some(ScriptError::HostCount {
+                hosts: 1,
+                scripts: 2
+            })
+        );
+        let mut swapped = fine();
+        swapped[1].rank = 0;
+        assert_eq!(
+            new(&swapped, &hosts),
+            Some(ScriptError::Misnumbered { index: 1, rank: 0 })
+        );
+        let nowhere = [hosts[0], HostId::new(99)];
+        assert!(matches!(
+            new(&fine(), &nowhere),
+            Some(ScriptError::UnknownHost { rank: 1, .. })
+        ));
+        // A peer outside the world, also inside a loop body.
+        let mut ops = Vec::new();
+        ReplayOp::push_repeat(
+            &mut ops,
+            2,
+            &[compute(1), ReplayOp::Recv { from: 2, tag: 0 }],
+        );
+        let bad = vec![script(0, vec![]), script(1, ops)];
+        assert_eq!(
+            new(&bad, &hosts),
+            Some(ScriptError::UnknownPeer {
+                rank: 1,
+                op: 2,
+                peer: 2
+            })
+        );
+        let empty = vec![
+            script(0, vec![ReplayOp::Repeat { count: 3, len: 0 }]),
+            script(1, vec![]),
+        ];
+        assert_eq!(
+            new(&empty, &hosts),
+            Some(ScriptError::EmptyRepeat { rank: 0, op: 0 })
+        );
+        // The inner body runs past the outer one.
+        let overrun = vec![
+            script(
+                0,
+                vec![
+                    ReplayOp::Repeat { count: 2, len: 2 },
+                    ReplayOp::Repeat { count: 2, len: 2 },
+                    compute(1),
+                    compute(1),
+                ],
+            ),
+            script(1, vec![]),
+        ];
+        assert_eq!(
+            new(&overrun, &hosts),
+            Some(ScriptError::RepeatOverrun { rank: 0, op: 1 })
+        );
+        let huge = |len: usize| ReplayOp::Repeat {
+            count: u64::MAX,
+            len,
+        };
+        let too_long = vec![
+            script(0, vec![]),
+            script(1, vec![huge(2), huge(1), compute(1)]),
+        ];
+        assert_eq!(
+            new(&too_long, &hosts),
+            Some(ScriptError::TooLong { rank: 1 })
+        );
+        let err = replay(p.clone(), &hosts, &too_long, &cfg).unwrap_err();
+        assert!(err.to_string().contains("overflows"));
+    }
+
+    #[test]
+    fn push_ops_checks_and_runs_loops() {
+        let clean = session_after(|_| {});
+        let after = session_after(|s| {
+            let empty = [ReplayOp::Repeat { count: 2, len: 0 }];
+            assert_eq!(s.push_ops(0, &empty), Err(PushError::EmptyRepeat { op: 0 }));
+            let overrun = [ReplayOp::Repeat { count: 2, len: 2 }, compute(1)];
+            assert_eq!(
+                s.push_ops(0, &overrun),
+                Err(PushError::RepeatOverrun { op: 0 })
+            );
+            let stray = [
+                ReplayOp::Repeat { count: 2, len: 1 },
+                ReplayOp::Send {
+                    to: 7,
+                    bytes: 1,
+                    tag: 0,
+                },
+            ];
+            assert_eq!(
+                s.push_ops(1, &stray),
+                Err(PushError::UnknownPeer { op: 1, peer: 7 })
+            );
+        });
+        assert_eq!(after, clean);
+        // A pushed loop runs like its unrolled form.
+        let (p, hosts) = star_platform(2);
+        let scripts = vec![
+            ProcessScript {
+                rank: 0,
+                ops: vec![],
+            },
+            ProcessScript {
+                rank: 1,
+                ops: vec![],
+            },
+        ];
+        let cfg = ReplayConfig::default();
+        let body = [
+            compute(2),
+            ReplayOp::SendRecv {
+                to: 1,
+                from: 1,
+                bytes: 5_000,
+                tag: 1,
+            },
+        ];
+        let mirror = [
+            ReplayOp::SendRecv {
+                to: 0,
+                from: 0,
+                bytes: 5_000,
+                tag: 1,
+            },
+            compute(1),
+        ];
+        let mut looped = [Vec::new(), Vec::new()];
+        ReplayOp::push_repeat(&mut looped[0], 300, &body);
+        ReplayOp::push_repeat(&mut looped[1], 300, &mirror);
+        let run = |ops: &[Vec<ReplayOp>; 2]| {
+            let mut s = ReplaySession::new(p.clone(), &hosts, &scripts, &cfg).unwrap();
+            s.run_until(None);
+            s.push_ops(0, &ops[0]).unwrap();
+            s.push_ops(1, &ops[1]).unwrap();
+            s.run_until(None);
+            s.result()
+        };
+        let flat = [unroll(&looped[0]), unroll(&looped[1])];
+        assert_eq!(run(&looped), run(&flat));
+    }
+
+    #[test]
+    fn restore_rejects_loop_state_that_does_not_fit_the_script() {
+        let (p, hosts, scripts) = sweeps(3, 50);
+        let mut s = ReplaySession::new(p, &hosts, &scripts, &ReplayConfig::default()).unwrap();
+        s.run_until(Some(SimTime::from_millis(8)));
+        let text = serde_json::to_string(&s.checkpoint()).unwrap();
+        let frame = text
+            .find(r#""loops":[[1,"#)
+            .expect("rank 0 is inside its loop");
+        let iter_at = frame + r#""loops":[[1,"#.len();
+        let iter_end = iter_at + text[iter_at..].find(']').unwrap();
+        let edited = |replacement: &str| {
+            let t = format!("{}{}{}", &text[..frame], replacement, &text[iter_end + 2..]);
+            restore_err(&serde_json::from_str(&t).unwrap())
+        };
+        assert!(edited(r#""loops":[[1,50]]"#).contains("iteration 50 of 50"));
+        assert!(edited(r#""loops":[[0,3]]"#).contains("is not a Repeat"));
+        assert!(edited(r#""loops":[]"#).contains("without a frame"));
+        assert!(edited(r#""loops":[[1,3],[1,3]]"#).contains("outside its enclosing body"));
     }
 }

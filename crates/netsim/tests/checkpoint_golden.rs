@@ -161,7 +161,7 @@ fn bottleneck_replay_checkpoint_bytes_are_pinned() {
         ..ReplayConfig::default()
     };
     assert_eq!(cfg.sharing, SharingMode::Bottleneck);
-    let mut session = ReplaySession::new(platform, &hosts[..n], &scripts, &cfg);
+    let mut session = ReplaySession::new(platform, &hosts[..n], &scripts, &cfg).unwrap();
     session.run_until(Some(SimTime::from_micros(500)));
     assert!(!session.finished());
 

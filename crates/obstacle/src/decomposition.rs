@@ -44,17 +44,6 @@ impl BlockRows {
         (start + 1, start + len + 1)
     }
 
-    /// The rank owning interior row `row` (1-based).
-    pub fn owner_of(&self, row: usize) -> usize {
-        assert!((1..=self.n).contains(&row));
-        (0..self.nprocs)
-            .find(|&r| {
-                let (b, e) = self.row_range(r);
-                (b..e).contains(&row)
-            })
-            .expect("every interior row has an owner")
-    }
-
     /// Neighbouring ranks of `rank` in the chain.
     pub fn neighbors(&self, rank: usize) -> Vec<usize> {
         let mut out = Vec::with_capacity(2);
@@ -95,16 +84,6 @@ mod tests {
             *counts.iter().max().unwrap() - *counts.iter().min().unwrap(),
             1
         );
-    }
-
-    #[test]
-    fn owner_lookup_matches_ranges() {
-        let d = BlockRows::new(29, 4);
-        for row in 1..=29 {
-            let owner = d.owner_of(row);
-            let (b, e) = d.row_range(owner);
-            assert!((b..e).contains(&row));
-        }
     }
 
     #[test]

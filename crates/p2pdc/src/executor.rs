@@ -170,12 +170,13 @@ pub fn run_reference(
         NetworkContext::IntraCluster
     };
     let channel = AdaptationController::decide(cfg.scheme, context);
-    let scripts = build_scripts(app, topology, hosts, cfg);
+    let scripts = iteration_scripts(app, topology, hosts, cfg);
     let replay_cfg = ReplayConfig {
         sharing: cfg.sharing,
         protocol: channel.protocol_costs(),
     };
-    let exec = replay(topology.platform.clone(), hosts, &scripts, &replay_cfg);
+    let exec = replay(topology.platform.clone(), hosts, &scripts, &replay_cfg)
+        .expect("the iteration-loop scripts are well formed");
 
     // ---- Result collection through the coordinators -------------------------
     let result_time = result_collection_time(
@@ -201,8 +202,10 @@ pub fn run_reference(
     }
 }
 
-/// Build the per-rank iteration-loop scripts.
-fn build_scripts(
+/// The per-rank scripts of the iteration loop [`run_reference`] replays
+/// for `app` on `hosts`: the sweeps are one [`ReplayOp::Repeat`], not an
+/// unrolled copy per sweep.
+pub fn iteration_scripts(
     app: &dyn IterativeApp,
     topology: &Topology,
     hosts: &[HostId],
@@ -211,6 +214,7 @@ fn build_scripts(
     let nprocs = hosts.len();
     let iterations = app.iterations_for(cfg.scheme);
     let reduction_every = app.reduction_interval().max(1);
+    let reduces = app.reduction_bytes() > 0 && nprocs > 1;
     let mut scripts = Vec::with_capacity(nprocs);
     for (rank, &host) in hosts.iter().enumerate() {
         let speed = topology.platform.host(host).speed_flops;
@@ -218,42 +222,46 @@ fn build_scripts(
             SimDuration::from_secs_f64(app.compute_flops(rank, nprocs) / speed * cfg.opt_factor);
         let neighbors = app.neighbors(rank, nprocs);
         let halo = app.halo_bytes();
-        let mut ops = Vec::new();
-        for iter in 0..iterations {
+        // One sweep, ending in the convergence reduction if `reduce`.
+        let sweep = |ops: &mut Vec<ReplayOp>, reduce: bool| {
             ops.push(ReplayOp::Compute { duration: compute });
-            match cfg.scheme {
-                IterativeScheme::Synchronous => {
-                    // Post every boundary row first, then wait for the
-                    // neighbours' rows; waiting in between would serialise the
-                    // peer chain every sweep.
-                    for &n in &neighbors {
-                        ops.push(ReplayOp::Send {
-                            to: n,
-                            bytes: halo,
-                            tag: TAG_HALO,
-                        });
-                    }
-                    for &n in &neighbors {
-                        ops.push(ReplayOp::Recv {
-                            from: n,
-                            tag: TAG_HALO,
-                        });
-                    }
-                    if app.reduction_bytes() > 0 && nprocs > 1 && iter % reduction_every == 0 {
-                        push_reduction(&mut ops, rank, nprocs, app.reduction_bytes(), TAG_REDUCE);
-                    }
+            // Post every boundary row first: waiting in between would
+            // serialise the peer chain every sweep.
+            for &n in &neighbors {
+                ops.push(ReplayOp::Send {
+                    to: n,
+                    bytes: halo,
+                    tag: TAG_HALO,
+                });
+            }
+            // The synchronous scheme then waits for the neighbours' rows;
+            // the asynchronous one fires and forgets.
+            if cfg.scheme == IterativeScheme::Synchronous {
+                for &n in &neighbors {
+                    ops.push(ReplayOp::Recv {
+                        from: n,
+                        tag: TAG_HALO,
+                    });
                 }
-                IterativeScheme::Asynchronous => {
-                    // Fire-and-forget updates: never wait for the neighbours.
-                    for &n in &neighbors {
-                        ops.push(ReplayOp::Send {
-                            to: n,
-                            bytes: halo,
-                            tag: TAG_HALO,
-                        });
-                    }
+                if reduce {
+                    push_reduction(ops, rank, nprocs, app.reduction_bytes(), TAG_REDUCE);
                 }
             }
+        };
+        // Sweep `i` reduces when `i % reduction_every == 0`: a body of
+        // `reduction_every` sweeps, the first one reducing, repeats, and
+        // the sweeps left over follow it.
+        let mut body = Vec::new();
+        for i in 0..reduction_every {
+            sweep(&mut body, reduces && i == 0);
+        }
+        let mut ops = Vec::new();
+        let rounds = iterations / reduction_every;
+        if rounds > 0 {
+            ReplayOp::push_repeat(&mut ops, u64::from(rounds), &body);
+        }
+        for i in 0..iterations % reduction_every {
+            sweep(&mut ops, reduces && i == 0);
         }
         if cfg.scheme == IterativeScheme::Asynchronous && nprocs > 1 {
             // One final synchronisation so that termination is detected.
@@ -507,5 +515,68 @@ mod tests {
             ..ExecutionConfig::default()
         };
         run_reference(&app(), &topo, &topo.hosts, &cfg);
+    }
+
+    #[test]
+    fn sweeps_reduce_every_interval_with_the_remainder_after_the_loop() {
+        /// The synthetic app, reducing every third of its ten sweeps.
+        struct EveryThird(SyntheticApp);
+        impl IterativeApp for EveryThird {
+            fn name(&self) -> &str {
+                "every-third"
+            }
+            fn iterations(&self) -> u32 {
+                10
+            }
+            fn compute_flops(&self, rank: usize, nprocs: usize) -> f64 {
+                self.0.compute_flops(rank, nprocs)
+            }
+            fn neighbors(&self, rank: usize, nprocs: usize) -> Vec<usize> {
+                self.0.neighbors(rank, nprocs)
+            }
+            fn halo_bytes(&self) -> u64 {
+                self.0.halo_bytes()
+            }
+            fn reduction_interval(&self) -> u32 {
+                3
+            }
+            fn input_bytes(&self, rank: usize, nprocs: usize) -> u64 {
+                self.0.input_bytes(rank, nprocs)
+            }
+            fn result_bytes(&self, rank: usize, nprocs: usize) -> u64 {
+                self.0.result_bytes(rank, nprocs)
+            }
+        }
+        let topo = cluster_bordeplage(4, HostSpec::default());
+        let scripts = iteration_scripts(
+            &EveryThird(app()),
+            &topo,
+            &topo.hosts,
+            &ExecutionConfig::default(),
+        );
+        // Three rounds of a three-sweep body, then one sweep.
+        let ops = &scripts[1].ops;
+        let ReplayOp::Repeat { count: 3, len } = ops[0] else {
+            panic!("the sweeps start with a loop: {ops:?}");
+        };
+        // Which sweeps of the unrolled run end in a reduction.
+        let sweeps = |ops: &[ReplayOp]| {
+            let mut reduced = Vec::new();
+            for op in ops {
+                match op {
+                    ReplayOp::Compute { .. } => reduced.push(false),
+                    ReplayOp::Send {
+                        tag: TAG_REDUCE, ..
+                    } => *reduced.last_mut().unwrap() = true,
+                    _ => {}
+                }
+            }
+            reduced
+        };
+        let body = sweeps(&ops[1..1 + len]);
+        let mut unrolled = [body.clone(), body.clone(), body].concat();
+        unrolled.extend(sweeps(&ops[1 + len..]));
+        let every_third: Vec<bool> = (0..10).map(|i| i % 3 == 0).collect();
+        assert_eq!(unrolled, every_third);
     }
 }

@@ -222,7 +222,7 @@ fn replay_result_is_identical_across_runs() {
             ..ReplayConfig::default()
         };
         let results: Vec<_> = (0..2)
-            .map(|_| replay(topo.platform.clone(), &hosts, &scripts, &cfg))
+            .map(|_| replay(topo.platform.clone(), &hosts, &scripts, &cfg).unwrap())
             .collect();
         assert!(results[0].makespan > SimDuration::ZERO);
         for r in &results[1..] {
