@@ -691,7 +691,16 @@ impl ReplayWorld {
             *det = Detector::default();
             return false;
         }
-        let ref_iter = self.procs[REFERENCE_RANK].loops[0].iter;
+        let Frame {
+            head,
+            iter: ref_iter,
+        } = self.procs[REFERENCE_RANK].loops[0];
+        if let Some(saved) = &det.saved {
+            // A new loop starts a new search.
+            if saved.procs[REFERENCE_RANK].loops[0].head != head {
+                *det = Detector::default();
+            }
+        }
         if let Some(saved) = &det.saved {
             let c = ref_iter.checked_sub(saved.ref_iter).filter(|&c| c > 0);
             if let Some(c) = c.filter(|&c| self.repeats(saved, c, sched)) {
@@ -2320,6 +2329,36 @@ mod tests {
         let mut s = ReplaySession::new(p.clone(), &hosts, &scripts, &cfg).unwrap();
         s.run_until(None);
         assert_eq!(s.world.jumped.flows_started, 0);
+        assert_eq!(s.result(), full_replay(p, &hosts, &scripts, &cfg));
+    }
+
+    #[test]
+    fn a_loop_after_a_long_aperiodic_one_is_still_skipped() {
+        // 300 sweeps in which rank 1's mailbox grows, then 150 periodic
+        // ping-pongs: the search restarts with the second loop, instead of
+        // waiting out the first loop's Brent power (256).
+        let (p, hosts) = star_platform(2);
+        let send = |to: usize, tag: u32| ReplayOp::Send {
+            to,
+            bytes: 1_000,
+            tag,
+        };
+        let recv = |from: usize, tag: u32| ReplayOp::Recv { from, tag };
+        let mut zero = Vec::new();
+        ReplayOp::push_repeat(&mut zero, 300, &[compute(1), send(1, 0), send(1, 0)]);
+        ReplayOp::push_repeat(&mut zero, 150, &[compute(1), send(1, 1), recv(1, 1)]);
+        let mut one = Vec::new();
+        ReplayOp::push_repeat(&mut one, 300, &[compute(1), recv(0, 0)]);
+        ReplayOp::push_repeat(&mut one, 150, &[recv(0, 1), compute(2), send(0, 1)]);
+        ReplayOp::push_repeat(&mut one, 300, &[recv(0, 0)]);
+        let scripts = vec![
+            ProcessScript { rank: 0, ops: zero },
+            ProcessScript { rank: 1, ops: one },
+        ];
+        let cfg = ReplayConfig::default();
+        let mut s = ReplaySession::new(p.clone(), &hosts, &scripts, &cfg).unwrap();
+        s.run_until(None);
+        assert!(s.world.jumped.flows_started > 0, "no period was skipped");
         assert_eq!(s.result(), full_replay(p, &hosts, &scripts, &cfg));
     }
 
