@@ -13,8 +13,8 @@
 //!   pairs per DSLAM, ~244 flows each), all started at t = 0, then run to
 //!   drain with a churn cohort: the first 50 000 completions each start a
 //!   replacement flow on their pair. Equal-size flows on a pair complete in
-//!   the same simulated instant, so the drain is completion-heavy — the
-//!   calendar-queue scheduler's target shape;
+//!   the same simulated instant, so the drain is completion-heavy: large
+//!   same-instant cohorts for the radix-heap scheduler;
 //! * engine: [`Network::new`] — the one serial flush, which has no options.
 //!
 //! Besides wall clock, the bench records telemetry through the criterion

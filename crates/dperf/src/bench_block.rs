@@ -5,21 +5,15 @@
 //! scale by how often it executes — "the use of benchmarking by block makes it
 //! possible for dPerf results to be scaled-up while maintaining accuracy"
 //! (§III-D.2). A [`BlockBencher`] turns a compute block plus its parameter
-//! environment into a duration:
-//!
-//! * [`ModeledBencher`] — deterministic: work expression → flops → time via a
-//!   [`MachineModel`] and an [`OptLevel`] factor. This is the back-end the
-//!   experiment harness uses so figures are exactly reproducible.
-//! * [`MeasuredBencher`] — the PAPI-analogue: real kernels (Rust closures)
-//!   registered per block name are executed and timed with
-//!   `std::time::Instant`; unregistered blocks fall back to the model.
+//! environment into a duration. The one back-end, [`ModeledBencher`], stands
+//! in for the original's PAPI hardware counters: work expression → flops →
+//! time via a [`MachineModel`] and an [`OptLevel`] factor. Its output depends
+//! on its inputs only, so every figure is exactly reproducible.
 
 use crate::compiler::OptLevel;
 use crate::ir::{ComputeBlock, ParamEnv};
 use crate::machine::MachineModel;
 use p2p_common::SimDuration;
-use std::collections::HashMap;
-use std::time::Instant;
 
 /// Something that can tell how long one execution of a block takes.
 pub trait BlockBencher {
@@ -50,67 +44,10 @@ impl BlockBencher for ModeledBencher {
     }
 }
 
-/// A real kernel to measure: receives the evaluation environment so it can
-/// size its working set like the real block would.
-pub type BlockKernel = Box<dyn Fn(&ParamEnv) + Send + Sync>;
-
-/// Measurement back-end: times registered kernels, falls back to the model.
-pub struct MeasuredBencher {
-    kernels: HashMap<String, BlockKernel>,
-    /// How many times to run each kernel (the median is reported).
-    pub repetitions: u32,
-    fallback: ModeledBencher,
-}
-
-impl MeasuredBencher {
-    /// Create a measured bencher with the given fallback model.
-    pub fn new(fallback: ModeledBencher) -> Self {
-        MeasuredBencher {
-            kernels: HashMap::new(),
-            repetitions: 3,
-            fallback,
-        }
-    }
-
-    /// Register the real kernel for a block name.
-    pub fn register(&mut self, block_name: impl Into<String>, kernel: BlockKernel) {
-        self.kernels.insert(block_name.into(), kernel);
-    }
-
-    /// Names of all registered kernels.
-    pub fn registered(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.kernels.keys().map(|s| s.as_str()).collect();
-        names.sort_unstable();
-        names
-    }
-}
-
-impl BlockBencher for MeasuredBencher {
-    fn block_time(&self, block: &ComputeBlock, env: &ParamEnv) -> SimDuration {
-        match self.kernels.get(&block.name) {
-            None => self.fallback.block_time(block, env),
-            Some(kernel) => {
-                let reps = self.repetitions.max(1);
-                let mut samples = Vec::with_capacity(reps as usize);
-                for _ in 0..reps {
-                    let start = Instant::now();
-                    kernel(env);
-                    samples.push(start.elapsed());
-                }
-                samples.sort_unstable();
-                let median = samples[samples.len() / 2];
-                SimDuration::from_nanos(median.as_nanos().min(u64::MAX as u128) as u64)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ir::Expr;
-    use std::sync::atomic::{AtomicU32, Ordering};
-    use std::sync::Arc;
 
     fn block(flops: f64) -> ComputeBlock {
         ComputeBlock::new("kernel", Expr::c(flops))
@@ -139,40 +76,5 @@ mod tests {
             &ParamEnv::new().with("N", 100.0).with("my_rows", 1000.0),
         );
         assert!(large > small);
-    }
-
-    #[test]
-    fn measured_bencher_runs_registered_kernels() {
-        let fallback = ModeledBencher::new(MachineModel::xeon_em64t_3ghz(), OptLevel::O3);
-        let mut bencher = MeasuredBencher::new(fallback);
-        let calls = Arc::new(AtomicU32::new(0));
-        let calls_inner = Arc::clone(&calls);
-        bencher.register(
-            "kernel",
-            Box::new(move |_env| {
-                calls_inner.fetch_add(1, Ordering::SeqCst);
-                // A tiny but non-empty amount of real work.
-                let mut x = 0.0f64;
-                for i in 0..10_000 {
-                    x += (i as f64).sqrt();
-                }
-                std::hint::black_box(x);
-            }),
-        );
-        let t = bencher.block_time(&block(1.0), &ParamEnv::new());
-        assert!(t > SimDuration::ZERO);
-        assert_eq!(calls.load(Ordering::SeqCst), bencher.repetitions);
-        assert_eq!(bencher.registered(), vec!["kernel"]);
-    }
-
-    #[test]
-    fn measured_bencher_falls_back_to_the_model() {
-        let fallback = ModeledBencher::new(MachineModel::xeon_em64t_3ghz(), OptLevel::O3);
-        let bencher = MeasuredBencher::new(fallback.clone());
-        let b = block(2e6);
-        assert_eq!(
-            bencher.block_time(&b, &ParamEnv::new()),
-            fallback.block_time(&b, &ParamEnv::new())
-        );
     }
 }

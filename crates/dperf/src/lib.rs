@@ -14,10 +14,8 @@
 //! * programs are described in a small explicit IR ([`ir`]) carrying exactly
 //!   the information ROSE's AST/DDG/CDG traversals extract — block structure,
 //!   loop nests, symbolic work expressions and communication calls;
-//! * block benchmarking ([`bench_block`]) has a *modeled* back-end (a machine
-//!   model in flop/s, deterministic and used by the experiment harness) and a
-//!   *measured* back-end (real `std::time::Instant` timing of registered Rust
-//!   kernels, the analogue of the PAPI path);
+//! * block benchmarking ([`bench_block`]) models each block on a machine
+//!   model in flop/s, deterministically, in place of PAPI's measurements;
 //! * the GCC optimisation levels 0/1/2/3/s of the evaluation are a per-block
 //!   cost model ([`compiler`]).
 //!
@@ -42,7 +40,7 @@ pub mod report;
 pub mod trace;
 pub mod tracegen;
 
-pub use bench_block::{BlockBencher, MeasuredBencher, ModeledBencher};
+pub use bench_block::{BlockBencher, ModeledBencher};
 pub use compiler::OptLevel;
 pub use equivalence::{Comparison, EquivalenceRow, EquivalenceTable, PerfCurve, PerfPoint};
 pub use instrument::{InstrumentedProgram, Probe};

@@ -14,45 +14,30 @@
 //! instant that was already pending, which is exactly the point at which the
 //! whole batch can be processed at once.
 //!
-//! # Memory-lean storage: arena + calendar queue
+//! # Storage: arena + radix heap
 //!
-//! Events are kept once, in a typed arena (`slots` + free list), and every
-//! ordering structure holds only 24-byte `(time, seq, slot)` records. The
-//! records are organised in three tiers, totally ordered by `(time, seq)`:
+//! Events are kept once, in a typed arena (`slots` + free list), and the
+//! ordering structure holds only 24-byte `(time, seq, slot)` records. It is a
+//! radix heap (Ahuja, Mehlhorn, Orlin and Tarjan, JACM 1990), which relies on
+//! one property a simulation clock already has: nothing is scheduled before
+//! `now`. `last` is the smallest pending time. Bucket 0 holds the records at
+//! `last`, drained from `head`; bucket `i > 0` holds the records whose time
+//! first differs from `last` at bit `i - 1`, so every record of a lower bucket
+//! precedes every record of a higher one. Scheduling is a push. When bucket 0
+//! runs dry, the lowest non-empty bucket supplies the new `last` and its
+//! records are spread over the buckets below it; a record moves down at most
+//! 64 times in its life.
 //!
-//! 1. **`cur`** — the sorted run currently being drained (one promoted
-//!    calendar bucket, plus any entry scheduled below the run's ceiling,
-//!    inserted in place to preserve FIFO order).
-//! 2. **`buckets`** — a calendar-queue window of `NUM_BUCKETS` buckets of
-//!    width `width` starting at `base`. Scheduling into the window is an
-//!    O(1) push; a bucket is sorted only when it is promoted to `cur`. This
-//!    is the completion-heavy fast path: no per-event heap sift, and the
-//!    sort touches a small, cache-resident chunk.
-//! 3. **`far`** — a binary min-heap for everything beyond the window (and
-//!    the *sparse-horizon fallback*: while fewer than `CALENDAR_MIN`
-//!    records are pending, the calendar is bypassed entirely and events pop
-//!    in plain heap order, so tiny simulations never pay for bucketing).
-//!
-//! When the window drains, a new one is built from `far`: the next
-//! `WINDOW_TARGET` records (by order statistic, robust against far-future
-//! outliers such as ETA-capped bottleneck completions) choose the span, the
-//! width is `span / NUM_BUCKETS`, and the in-window records are scattered in
-//! O(n). Pop order is the pure `(time, seq)` minimum across the tiers, so
-//! the structure is observably identical to the plain `BinaryHeap` it
-//! replaced — the differential suites hold verbatim.
+//! Records of one time always share a bucket, and sit there in `seq` order:
+//! a new record carries the largest `seq`, and every move is stable. Pop
+//! order is therefore the pure `(time, seq)` minimum.
 
 use p2p_common::{SimDuration, SimTime};
 use serde::{DeError, Deserialize, Serialize, Value};
-use std::collections::BinaryHeap;
 
-/// Number of buckets in one calendar window.
-const NUM_BUCKETS: usize = 256;
-/// Below this many pending records the calendar is bypassed and `far` serves
-/// pops directly (heap order for sparse horizons).
-const CALENDAR_MIN: usize = 512;
-/// Records a window rebuild aims to ingest; bounds both bucket occupancy
-/// (`WINDOW_TARGET / NUM_BUCKETS` on average) and rebuild frequency.
-const WINDOW_TARGET: usize = 64 * 1024;
+/// One bucket per possible top differing bit of two `u64` times, plus the
+/// bucket of records equal to `last`.
+const BUCKETS: usize = 65;
 
 /// A 24-byte ordering record: where an event sits in time and in the arena.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -69,19 +54,11 @@ impl Rec {
     }
 }
 
-/// `Rec` wrapper giving `BinaryHeap` (a max-heap) min-heap behaviour.
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct FarRec(Rec);
-
-impl PartialOrd for FarRec {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for FarRec {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other.0.key().cmp(&self.0.key())
-    }
+/// The bucket of a record at `time` when the smallest pending time is `last`
+/// (`time >= last`): 0 if equal, else one past the top differing bit.
+#[inline]
+fn bucket_of(time: SimTime, last: SimTime) -> usize {
+    (u64::BITS - (time.as_nanos() ^ last.as_nanos()).leading_zeros()) as usize
 }
 
 /// The pending-event queue and simulated clock of one simulation.
@@ -122,29 +99,15 @@ pub struct Scheduler<E> {
     slots: Vec<Option<E>>,
     free: Vec<u32>,
 
-    // --- tier 1: the sorted run being drained ---
-    cur: Vec<Rec>,
-    cur_pos: usize,
-    /// Exclusive upper bound of `cur`: a new entry with `time < cur_ceiling`
-    /// is insert-sorted into the run (preserving FIFO among equal times).
-    /// `SimTime::ZERO` doubles as the "no run" sentinel — no schedulable
-    /// time is below zero, so the collision is harmless.
-    cur_ceiling: SimTime,
-
-    // --- tier 2: the calendar window ---
-    buckets: Vec<Vec<Rec>>,
-    base: SimTime,
-    /// Bucket width in nanoseconds; `0` means the window is inactive.
-    width: u64,
-    /// Exclusive end of the window (`base + NUM_BUCKETS * width`, clamped).
-    window_end: SimTime,
-    /// First bucket not yet promoted to `cur`.
-    next_bucket: usize,
-    /// Total records currently sitting in `buckets`.
-    in_buckets: usize,
-
-    // --- tier 3: beyond the window / sparse fallback ---
-    far: BinaryHeap<FarRec>,
+    // --- radix heap over the arena ---
+    /// Smallest pending time while anything is pending. It may run ahead of
+    /// `now`: `pop` refills bucket 0 at once.
+    last: SimTime,
+    buckets: [Vec<Rec>; BUCKETS],
+    /// First record of bucket 0 not yet popped.
+    head: usize,
+    /// Number of pending records.
+    len: usize,
 }
 
 impl<E> Default for Scheduler<E> {
@@ -165,16 +128,10 @@ impl<E> Scheduler<E> {
             compacted_entries: 0,
             slots: Vec::new(),
             free: Vec::new(),
-            cur: Vec::new(),
-            cur_pos: 0,
-            cur_ceiling: SimTime::ZERO,
-            buckets: Vec::new(),
-            base: SimTime::ZERO,
-            width: 0,
-            window_end: SimTime::ZERO,
-            next_bucket: 0,
-            in_buckets: 0,
-            far: BinaryHeap::new(),
+            last: SimTime::ZERO,
+            buckets: std::array::from_fn(|_| Vec::new()),
+            head: 0,
+            len: 0,
         }
     }
 
@@ -185,7 +142,7 @@ impl<E> Scheduler<E> {
 
     /// Number of events waiting to fire.
     pub fn pending(&self) -> usize {
-        (self.cur.len() - self.cur_pos) + self.in_buckets + self.far.len()
+        self.len
     }
 
     /// Total number of events delivered so far.
@@ -195,7 +152,7 @@ impl<E> Scheduler<E> {
 
     /// True if no event is pending.
     pub fn is_empty(&self) -> bool {
-        self.pending() == 0
+        self.len == 0
     }
 
     fn alloc(&mut self, event: E) -> u32 {
@@ -235,21 +192,7 @@ impl<E> Scheduler<E> {
             slot: self.alloc(event),
         };
         self.seq += 1;
-        if at < self.cur_ceiling {
-            // Belongs to the run being drained: insert in (time, seq) position
-            // among the not-yet-popped suffix. `seq` is larger than every
-            // pending record's, so FIFO among equal timestamps is preserved.
-            let pos =
-                self.cur_pos + self.cur[self.cur_pos..].partition_point(|r| r.key() < rec.key());
-            self.cur.insert(pos, rec);
-        } else if self.width > 0 && at < self.window_end {
-            let b = self.bucket_of(at);
-            self.buckets[b].push(rec);
-            self.in_buckets += 1;
-        } else {
-            self.far.push(FarRec(rec));
-        }
-        self.settle();
+        self.file(rec);
     }
 
     /// Schedule `event` after a delay relative to the current time.
@@ -257,105 +200,65 @@ impl<E> Scheduler<E> {
         self.schedule_at(self.now + delay, event);
     }
 
-    #[inline]
-    fn bucket_of(&self, t: SimTime) -> usize {
-        // The window end is clamped at u64::MAX, so the division can nominally
-        // land past the last bucket; clamping keeps the record inside the
-        // window (bucket ranges only need `start <= every member`, which the
-        // floor division guarantees).
-        (((t.as_nanos() - self.base.as_nanos()) / self.width) as usize).min(NUM_BUCKETS - 1)
+    /// Add `rec` to the heap. Its `seq` must exceed that of every pending
+    /// record of the same time.
+    fn file(&mut self, rec: Rec) {
+        if self.len == 0 {
+            self.last = rec.time;
+        } else if rec.time < self.last {
+            self.lower(rec.time);
+        }
+        self.buckets[bucket_of(rec.time, self.last)].push(rec);
+        self.len += 1;
     }
 
-    /// Establish the invariant behind O(1) [`Scheduler::peek_time`]: whenever
-    /// anything is pending, `cur[cur_pos]` is the global (time, seq) minimum.
-    fn settle(&mut self) {
-        loop {
-            if self.cur_pos < self.cur.len() {
-                return;
-            }
-            self.cur.clear();
-            self.cur_pos = 0;
-            if self.in_buckets > 0 {
-                self.promote_next_bucket();
-                continue;
-            }
-            // Window fully drained: deactivate it.
-            self.width = 0;
-            self.window_end = SimTime::ZERO;
-            self.next_bucket = 0;
-            self.cur_ceiling = SimTime::ZERO;
-            if self.far.is_empty() {
-                return;
-            }
-            if self.far.len() >= CALENDAR_MIN {
-                self.rebuild_window();
-                continue;
-            }
-            // Sparse horizon: plain heap order, one record at a time.
-            let rec = self.far.pop().expect("checked non-empty").0;
-            self.cur_ceiling = rec.time;
-            self.cur.push(rec);
+    /// Make `t < last` the smallest pending time. With `h` the top bit in
+    /// which `t` and `last` differ, every record of buckets `0..=h` differs
+    /// from `t` first at bit `h`, so they all move to bucket `h + 1`, which
+    /// is empty (its records would lie below `last`). Higher buckets keep
+    /// their place.
+    fn lower(&mut self, t: SimTime) {
+        let target = bucket_of(t, self.last);
+        let mut merged = std::mem::take(&mut self.buckets[target]);
+        debug_assert!(merged.is_empty());
+        merged.extend_from_slice(&self.buckets[0][self.head..]);
+        self.buckets[0].clear();
+        self.head = 0;
+        for b in &mut self.buckets[1..target] {
+            merged.append(b);
+        }
+        self.buckets[target] = merged;
+        self.last = t;
+    }
+
+    /// Bucket 0 is drained: take `last` from the lowest non-empty bucket and
+    /// spread that bucket's records, in order, over the buckets below it.
+    fn refill(&mut self) {
+        self.buckets[0].clear();
+        self.head = 0;
+        if self.len == 0 {
             return;
         }
+        let i = (1..BUCKETS)
+            .find(|&i| !self.buckets[i].is_empty())
+            .expect("pending records sit in some bucket");
+        let mut spread = std::mem::take(&mut self.buckets[i]);
+        self.last = spread.iter().map(|r| r.time).min().expect("non-empty");
+        for rec in spread.drain(..) {
+            self.buckets[bucket_of(rec.time, self.last)].push(rec);
+        }
+        self.buckets[i] = spread;
     }
 
-    fn promote_next_bucket(&mut self) {
-        let b = (self.next_bucket..NUM_BUCKETS)
-            .find(|&b| !self.buckets[b].is_empty())
-            .expect("in_buckets > 0 implies a non-empty bucket");
-        std::mem::swap(&mut self.cur, &mut self.buckets[b]);
-        self.in_buckets -= self.cur.len();
-        // seq is unique, so the unstable sort is deterministic.
-        self.cur.sort_unstable_by_key(Rec::key);
-        self.next_bucket = b + 1;
-        let end = self.base.as_nanos() as u128 + (b as u128 + 1) * self.width as u128;
-        self.cur_ceiling = SimTime::from_nanos(end.min(self.window_end.as_nanos() as u128) as u64);
-    }
-
-    /// Build a fresh calendar window from `far`. The span is chosen by order
-    /// statistic — the `WINDOW_TARGET`-th smallest key — so a handful of
-    /// far-future outliers (e.g. ETA-capped bottleneck completions) cannot
-    /// inflate the bucket width and collapse the calendar into one bucket.
-    fn rebuild_window(&mut self) {
-        if self.buckets.is_empty() {
-            self.buckets.resize_with(NUM_BUCKETS, Vec::new);
+    /// Every pending record, sorted by `(time, seq)`.
+    fn sorted(&self) -> Vec<Rec> {
+        let mut recs = Vec::with_capacity(self.len);
+        recs.extend_from_slice(&self.buckets[0][self.head..]);
+        for b in &self.buckets[1..] {
+            recs.extend_from_slice(b);
         }
-        let mut v: Vec<Rec> = std::mem::take(&mut self.far)
-            .into_vec()
-            .into_iter()
-            .map(|f| f.0)
-            .collect();
-        let base = v
-            .iter()
-            .map(|r| r.time)
-            .min()
-            .expect("rebuild of empty far");
-        let span_end = if v.len() > WINDOW_TARGET {
-            let (_, nth, _) = v.select_nth_unstable_by_key(WINDOW_TARGET, Rec::key);
-            nth.time
-        } else {
-            v.iter().map(|r| r.time).max().expect("non-empty")
-        };
-        // Cover at least one nanosecond so a window of equal timestamps
-        // still makes progress.
-        let span = (span_end.as_nanos().saturating_sub(base.as_nanos())).max(1);
-        self.width = span.div_ceil(NUM_BUCKETS as u64).max(1);
-        let end = base.as_nanos() as u128 + NUM_BUCKETS as u128 * self.width as u128;
-        self.base = base;
-        self.window_end = SimTime::from_nanos(end.min(u64::MAX as u128) as u64);
-        self.next_bucket = 0;
-        self.cur_ceiling = base;
-        let mut beyond = Vec::new();
-        for rec in v {
-            if rec.time < self.window_end {
-                let b = self.bucket_of(rec.time);
-                self.buckets[b].push(rec);
-                self.in_buckets += 1;
-            } else {
-                beyond.push(FarRec(rec));
-            }
-        }
-        self.far = BinaryHeap::from(beyond);
+        recs.sort_unstable_by_key(Rec::key);
+        recs
     }
 
     /// Record that one pending entry has become stale (its producer
@@ -377,7 +280,7 @@ impl<E> Scheduler<E> {
 
     /// Number of pending entries believed live.
     pub fn live_pending(&self) -> usize {
-        (self.pending() as u64).saturating_sub(self.dead) as usize
+        (self.len as u64).saturating_sub(self.dead) as usize
     }
 
     /// Drop every pending entry for which `keep` returns false, preserving
@@ -392,40 +295,29 @@ impl<E> Scheduler<E> {
     /// whenever the predicate dropped entries that were never
     /// [`mark_dead`](Scheduler::mark_dead)ed, or kept entries that were.
     pub fn compact_pending(&mut self, mut keep: impl FnMut(&E) -> bool) -> usize {
-        let mut all: Vec<Rec> = Vec::with_capacity(self.pending());
-        all.extend_from_slice(&self.cur[self.cur_pos..]);
-        for b in &mut self.buckets {
-            all.append(b);
+        let mut buckets = std::mem::replace(&mut self.buckets, std::array::from_fn(|_| Vec::new()));
+        buckets[0].drain(..self.head);
+        self.head = 0;
+        let before = self.len;
+        for b in &mut buckets {
+            // Filtering keeps each bucket's order, so the heap stays valid.
+            b.retain(|rec| {
+                let live = keep(self.event(rec));
+                if !live {
+                    drop(self.release(rec.slot));
+                }
+                live
+            });
         }
-        self.in_buckets = 0;
-        all.extend(std::mem::take(&mut self.far).into_iter().map(|f| f.0));
-        self.cur.clear();
-        self.cur_pos = 0;
-        self.cur_ceiling = SimTime::ZERO;
-        self.width = 0;
-        self.window_end = SimTime::ZERO;
-        self.next_bucket = 0;
-
-        let before = all.len();
-        let mut survivors = Vec::with_capacity(before);
-        for rec in all {
-            let live = keep(
-                self.slots[rec.slot as usize]
-                    .as_ref()
-                    .expect("pending record without arena slot"),
-            );
-            if live {
-                survivors.push(FarRec(rec));
-            } else {
-                drop(self.release(rec.slot));
-            }
+        self.buckets = buckets;
+        self.len = self.buckets.iter().map(Vec::len).sum();
+        if self.buckets[0].is_empty() {
+            self.refill();
         }
-        let removed = before - survivors.len();
-        self.far = BinaryHeap::from(survivors);
+        let removed = before - self.len;
         self.dead = 0;
         self.compactions += 1;
         self.compacted_entries += removed as u64;
-        self.settle();
         removed
     }
 
@@ -440,70 +332,81 @@ impl<E> Scheduler<E> {
     }
 
     /// Approximate heap footprint of the queue in bytes: arena slots, free
-    /// list, ordering records across all three tiers (including the calendar
-    /// backbone itself). Telemetry for the memory gate; not an
-    /// allocator-exact number.
+    /// list and the records held by the buckets. Telemetry for the memory
+    /// gate; not an allocator-exact number.
     pub fn footprint_bytes(&self) -> usize {
         use std::mem::size_of;
         self.slots.capacity() * size_of::<Option<E>>()
             + self.free.capacity() * size_of::<u32>()
-            + self.cur.capacity() * size_of::<Rec>()
-            + self.buckets.capacity() * size_of::<Vec<Rec>>()
             + self
                 .buckets
                 .iter()
                 .map(|b| b.capacity() * size_of::<Rec>())
                 .sum::<usize>()
-            + self.far.capacity() * size_of::<FarRec>()
     }
 
     /// Every pending event with its time, in pop order. The replay's
     /// period search reads the queue through it.
     pub(crate) fn pending_in_order(&self) -> Vec<(SimTime, &E)> {
-        let mut recs: Vec<Rec> = Vec::with_capacity(self.pending());
-        recs.extend_from_slice(&self.cur[self.cur_pos..]);
-        for b in &self.buckets {
-            recs.extend_from_slice(b);
-        }
-        recs.extend(self.far.iter().map(|f| f.0));
-        recs.sort_unstable_by_key(Rec::key);
-        recs.iter()
-            .map(|rec| {
-                let event = self.slots[rec.slot as usize]
-                    .as_ref()
-                    .expect("pending record without arena slot");
-                (rec.time, event)
-            })
+        self.sorted()
+            .iter()
+            .map(|rec| (rec.time, self.event(rec)))
             .collect()
+    }
+
+    /// Move the clock and every pending event forward by `by`, keeping
+    /// every `seq` and so the pop order. The replay's periodic skip uses it.
+    pub(crate) fn shift(&mut self, by: SimDuration) {
+        let recs = self.sorted();
+        for b in &mut self.buckets {
+            b.clear();
+        }
+        self.head = 0;
+        self.len = 0;
+        self.now += by;
+        for rec in recs {
+            self.file(Rec {
+                time: rec.time + by,
+                ..rec
+            });
+        }
+    }
+
+    fn event(&self, rec: &Rec) -> &E {
+        self.slots[rec.slot as usize]
+            .as_ref()
+            .expect("pending record without arena slot")
     }
 
     /// Time of the next pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.cur.get(self.cur_pos).map(|r| r.time)
+        self.buckets[0].get(self.head).map(|r| r.time)
     }
 
     /// Pop the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let rec = *self.cur.get(self.cur_pos)?;
-        self.cur_pos += 1;
+        let rec = *self.buckets[0].get(self.head)?;
+        self.head += 1;
+        self.len -= 1;
+        if self.head == self.buckets[0].len() {
+            self.refill();
+        }
         debug_assert!(rec.time >= self.now, "event queue went backwards");
         self.now = rec.time;
         self.delivered += 1;
-        let event = self.release(rec.slot);
-        self.settle();
-        Some((rec.time, event))
+        Some((rec.time, self.release(rec.slot)))
     }
 }
 
 /// Checkpoint form: the counters plus every pending entry as a
 /// `[time_ns, seq, event]` triple, sorted by `(time, seq)`.
 ///
-/// The internal tier placement (sorted run / calendar bucket / far heap) is
-/// deliberately **not** captured: pop order is the pure `(time, seq)` minimum
-/// regardless of tier, so the restore may rebuild the tiers from scratch and
-/// still replay the identical event sequence. Sorting the entries makes the
-/// encoded bytes canonical — two schedulers with the same pending set and
-/// counters serialize identically even if their calendar windows differ.
+/// The bucket layout is deliberately **not** captured: pop order is the pure
+/// `(time, seq)` minimum regardless of where a record sits, so the restore
+/// files the records afresh and still replays the identical event sequence.
+/// Sorting the entries makes the encoded bytes canonical — two schedulers
+/// with the same pending set and counters serialize identically whatever
+/// their histories.
 ///
 /// Each record's **original** `seq` is preserved (and the `seq` counter
 /// restored), because FIFO order among equal timestamps is part of the
@@ -526,23 +429,14 @@ impl<E> Scheduler<E> {
 /// ```
 impl<E: Serialize> Serialize for Scheduler<E> {
     fn to_value(&self) -> Value {
-        let mut recs: Vec<Rec> = Vec::with_capacity(self.pending());
-        recs.extend_from_slice(&self.cur[self.cur_pos..]);
-        for b in &self.buckets {
-            recs.extend_from_slice(b);
-        }
-        recs.extend(self.far.iter().map(|f| f.0));
-        recs.sort_unstable_by_key(Rec::key);
-        let pending: Vec<Value> = recs
-            .into_iter()
+        let pending: Vec<Value> = self
+            .sorted()
+            .iter()
             .map(|rec| {
-                let event = self.slots[rec.slot as usize]
-                    .as_ref()
-                    .expect("pending record without arena slot");
                 Value::Array(vec![
                     rec.time.as_nanos().to_value(),
                     rec.seq.to_value(),
-                    event.to_value(),
+                    self.event(rec).to_value(),
                 ])
             })
             .collect();
@@ -601,13 +495,14 @@ impl<E: Deserialize> Deserialize for Scheduler<E> {
                 )));
             }
             let slot = sched.alloc(E::from_value(&triple[2])?);
-            records.push(FarRec(Rec { time, seq, slot }));
+            records.push(Rec { time, seq, slot });
         }
-        // Tier placement is irrelevant to pop order: drop everything into the
-        // far heap and let `settle` rebuild the run/window lazily (the same
-        // rebuild path `compact_pending` uses).
-        sched.far = BinaryHeap::from(records);
-        sched.settle();
+        // Filing in key order puts the records of one time into their bucket
+        // in `seq` order, whatever order the file listed them in.
+        records.sort_unstable_by_key(Rec::key);
+        for rec in records {
+            sched.file(rec);
+        }
         Ok(sched)
     }
 }
@@ -763,10 +658,11 @@ mod tests {
     }
 
     /// Differential check against a plain sorted model through enough volume
-    /// to exercise every tier: sparse heap order, calendar scatter/promote,
-    /// window rebuilds, in-run insertion, and interleaved pops.
+    /// to exercise every bucket: refills, lowering `last` below a refilled
+    /// bucket 0, same-instant pushes, times at the top of the range, and
+    /// interleaved pops.
     #[test]
-    fn matches_reference_order_through_all_tiers() {
+    fn matches_a_sorted_model_under_random_schedules() {
         let mut rng = DetRng::new(0xCA1E_0D0E);
         let mut sched: Scheduler<u64> = Scheduler::new();
         let mut model: Vec<(SimTime, u64)> = Vec::new(); // (time, payload), kept sorted lazily
@@ -774,19 +670,21 @@ mod tests {
         let mut popped = Vec::new();
         let mut expected = Vec::new();
         for round in 0..2_000u32 {
-            // Burst-schedule: occasionally far beyond, mostly near-horizon,
-            // sometimes at the exact current instant (the sentinel pattern).
+            // Burst-schedule: occasionally far beyond or at the last
+            // representable instant, mostly near-horizon, sometimes at the
+            // exact current instant (the sentinel pattern).
             let burst = if round % 97 == 0 {
                 700
             } else {
                 rng.gen_range(0..8)
             };
             for _ in 0..burst {
-                let offset = match rng.gen_range(0..10u32) {
+                let offset = match rng.gen_range(0..11u32) {
                     0 => 0,
                     1..=7 => rng.gen_range(0..50_000u64),
                     8 => rng.gen_range(0..5_000_000u64),
-                    _ => u64::MAX / 4,
+                    9 => u64::MAX / 4,
+                    _ => u64::MAX - sched.now().as_nanos(),
                 };
                 let at = SimTime::from_nanos(sched.now().as_nanos().saturating_add(offset));
                 sched.schedule_at(at, next_payload);
@@ -824,10 +722,9 @@ mod tests {
 
     #[test]
     fn same_instant_entries_scheduled_mid_drain_stay_fifo() {
-        // The batched-rebalance pattern: thousands of same-instant events so
-        // the calendar activates, then entries scheduled *at the current
-        // instant* while it drains must fire after all pending equal-time
-        // entries — in-run insertion, not heap order.
+        // The batched-rebalance pattern: thousands of same-instant events,
+        // then entries scheduled *at the current instant* while they drain
+        // must fire after all pending equal-time entries.
         let mut sched: Scheduler<u32> = Scheduler::new();
         let t = SimTime::from_secs(1);
         for i in 0..2_000u32 {
@@ -877,9 +774,10 @@ mod tests {
     }
 
     #[test]
-    fn compaction_preserves_order_across_all_tiers() {
+    fn compaction_preserves_pop_order() {
         let mut sched: Scheduler<u64> = Scheduler::new();
-        // Enough volume for a calendar window plus far-future stragglers.
+        // Thousands of near records spread over many buckets, plus a
+        // far-future straggler.
         for i in 0..4_000u64 {
             sched.schedule_at(SimTime::from_nanos(i * 37), i);
         }
@@ -903,9 +801,9 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip_replays_identically_across_all_tiers() {
-        // Enough volume for a calendar window plus far-future stragglers and
-        // a partially drained run: every tier contributes pending entries.
+    fn serde_round_trip_replays_identically() {
+        // Many buckets, a far-future straggler and a partially drained
+        // bucket 0 all contribute pending entries.
         let mut sched: Scheduler<u64> = Scheduler::new();
         for i in 0..4_000u64 {
             sched.schedule_at(SimTime::from_nanos(i * 37), i);
@@ -933,10 +831,10 @@ mod tests {
     }
 
     #[test]
-    fn serde_encoding_is_canonical_across_tier_layouts() {
+    fn serde_encoding_is_canonical_across_histories() {
         // Same pending set reached via different internal histories (one
-        // scheduler went through a calendar window + partial drain, the other
-        // scheduled the survivors directly) must encode identically.
+        // scheduler only drained, the other was also compacted) must encode
+        // identically.
         let mut a: Scheduler<u64> = Scheduler::new();
         for i in 0..2_000u64 {
             a.schedule_at(SimTime::from_nanos(1_000_000 + i * 13), i);
@@ -949,12 +847,12 @@ mod tests {
             a.pop();
             b.pop();
         }
-        // Force different tier layouts: rebuild b's tiers via compaction.
+        // Force a different history: run b through a compaction pass.
         b.compact_pending(|_| true);
         let (va, vb) = (a.to_value(), b.to_value());
         let pa = va.as_object().unwrap().iter().find(|(k, _)| k == "pending");
         let pb = vb.as_object().unwrap().iter().find(|(k, _)| k == "pending");
-        assert_eq!(pa, pb, "pending encoding must not leak tier layout");
+        assert_eq!(pa, pb, "pending encoding must not leak bucket layout");
     }
 
     #[test]
@@ -996,6 +894,38 @@ mod tests {
             _ => unreachable!(),
         };
         assert!(Scheduler::<u64>::from_value(&tampered).is_err());
+    }
+
+    #[test]
+    fn serde_restores_unsorted_entries_in_key_order() {
+        // A hand-written checkpoint listing its entries out of order: the
+        // restore must still pop them by (time, seq), FIFO within a time.
+        let triple = |t: u64, seq: u64, e: u64| {
+            Value::Array(vec![t.to_value(), seq.to_value(), e.to_value()])
+        };
+        let v = Value::Object(vec![
+            ("now".to_owned(), 1u64.to_value()),
+            ("seq".to_owned(), 10u64.to_value()),
+            ("delivered".to_owned(), 0u64.to_value()),
+            ("dead".to_owned(), 0u64.to_value()),
+            ("compactions".to_owned(), 0u64.to_value()),
+            ("compacted_entries".to_owned(), 0u64.to_value()),
+            (
+                "pending".to_owned(),
+                Value::Array(vec![
+                    triple(9, 3, 93),
+                    triple(2, 7, 27),
+                    triple(9, 1, 91),
+                    triple(2, 4, 24),
+                    triple(5, 9, 59),
+                    triple(9, 2, 92),
+                ]),
+            ),
+        ]);
+        let mut sched = Scheduler::<u64>::from_value(&v).unwrap();
+        sched.schedule_at(SimTime::from_nanos(9), 100);
+        let order: Vec<u64> = std::iter::from_fn(|| sched.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![24, 27, 59, 91, 92, 93, 100]);
     }
 
     #[test]

@@ -789,7 +789,7 @@ impl ReplayWorld {
             (now - before).saturating_mul(m)
         });
         self.jumped = zip_stats(&self.jumped, &skipped, u64::saturating_add);
-        shift_queue(sched, shift);
+        sched.shift(shift);
     }
 }
 
@@ -799,34 +799,6 @@ fn waited(p: &Proc, now: SimTime) -> SimDuration {
         ProcState::Waiting { .. } => now.duration_since(p.wait_since),
         _ => SimDuration::ZERO,
     }
-}
-
-/// Move the clock and every pending event of `sched` forward by `shift`,
-/// keeping their order, through the queue's own checkpoint form.
-fn shift_queue(sched: &mut Scheduler<Ev>, shift: SimDuration) {
-    let later = |v: &mut Value| {
-        let t = v.as_u64().expect("queue times encode as integers");
-        *v = (t + shift.as_nanos()).to_value();
-    };
-    let mut v = sched.to_value();
-    let Value::Object(fields) = &mut v else {
-        unreachable!("a scheduler encodes as an object")
-    };
-    for (key, value) in fields.iter_mut() {
-        match (key.as_str(), value) {
-            ("now", now) => later(now),
-            ("pending", Value::Array(entries)) => {
-                for entry in entries {
-                    let Value::Array(triple) = entry else {
-                        unreachable!("pending entries encode as triples")
-                    };
-                    later(&mut triple[0]);
-                }
-            }
-            _ => {}
-        }
-    }
-    *sched = Scheduler::from_value(&v).expect("a shifted queue decodes");
 }
 
 /// All-zero counters for a platform of `links` directed links.
