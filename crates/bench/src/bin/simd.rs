@@ -38,6 +38,9 @@ use std::io::{BufRead, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+/// The most end nodes the Daisy xDSL structure holds (`daisy_xdsl`).
+const DAISY_MAX_HOSTS: usize = 1024;
+
 struct Options {
     checkpoint: Option<PathBuf>,
     topology: String,
@@ -96,10 +99,21 @@ fn build_session(opts: &Options) -> Result<StreamSession, String> {
     if let Some(path) = &opts.checkpoint {
         return StreamSession::load(path).map_err(|e| e.to_string());
     }
+    // Host counts the topology builders assert on are rejected here, so a
+    // bad flag ends in a message, not a panic.
+    if opts.hosts == 0 {
+        return Err("--hosts must be at least 1".to_owned());
+    }
     let host = HostSpec::default();
     let topo = match opts.topology.as_str() {
         "cluster" => cluster_bordeplage(opts.hosts, host),
         "lan" => lan(opts.hosts, host),
+        "daisy" if opts.hosts > DAISY_MAX_HOSTS => {
+            return Err(format!(
+                "--topology daisy holds at most {DAISY_MAX_HOSTS} hosts, not {}",
+                opts.hosts
+            ))
+        }
         "daisy" => daisy_xdsl(opts.hosts, host, opts.seed),
         other => return Err(format!("unknown topology {other:?}")),
     };
@@ -344,6 +358,34 @@ mod tests {
         }
         let err = parse_args(args(&["--hosts"])).err().expect("rejected");
         assert!(err.contains("needs a value"), "{err}");
+    }
+
+    /// The rejection `main` prints as `simd: …` with exit status 1.
+    fn build_error(line: &[&str]) -> String {
+        let opts = parse_args(args(line)).expect("flags parse");
+        build_session(&opts).err().expect("rejected")
+    }
+
+    #[test]
+    fn cluster_needs_a_host() {
+        let err = build_error(&["--topology", "cluster", "--hosts", "0"]);
+        assert!(err.contains("at least 1"), "{err}");
+    }
+
+    #[test]
+    fn lan_needs_a_host() {
+        let err = build_error(&["--topology", "lan", "--hosts", "0"]);
+        assert!(err.contains("at least 1"), "{err}");
+    }
+
+    #[test]
+    fn daisy_holds_1_to_1024_hosts() {
+        let err = build_error(&["--topology", "daisy", "--hosts", "0"]);
+        assert!(err.contains("at least 1"), "{err}");
+        let err = build_error(&["--topology", "daisy", "--hosts", "2000"]);
+        assert!(err.contains("at most 1024"), "{err}");
+        let opts = parse_args(args(&["--topology", "daisy", "--hosts", "1024"])).unwrap();
+        assert!(build_session(&opts).is_ok());
     }
 
     /// Valid lines of every command the property below mutates.

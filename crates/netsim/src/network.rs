@@ -35,11 +35,11 @@
 //!   (indexed like [`Platform::links`]) to the active flows crossing it,
 //!   updated incrementally on activate/finish. Swap-remove with
 //!   back-pointers (`FlowState::link_pos`) keeps removal O(route length).
-//! * **Bucket-queue progressive filling** — each filling round pops the
-//!   minimum-fair-share link from a monotone bucket queue (the `fairshare`
-//!   module) over epoch-stamped flat per-link arrays; equal shares break by
-//!   link index, so rates are a pure function of the flow set, independent
-//!   of seeding order.
+//! * **Heap-driven progressive filling** — each filling round pops the
+//!   minimum-fair-share link from a binary heap (the `fairshare` module)
+//!   over epoch-stamped flat per-link arrays. The heap yields exact
+//!   `(share, link)` minima: equal shares break by link index, so rates are
+//!   a pure function of the flow set, independent of seeding order.
 //! * **Batched same-timestamp rebalances** — flow arrivals and departures at
 //!   one simulated instant are coalesced: the first request schedules one
 //!   [`NetEvent::Rebalance`] at the current time (the scheduler's FIFO
@@ -270,9 +270,10 @@ pub struct MemoryFootprint {
     /// frozen lists, residual-capacity histories) plus the arrival log.
     pub warm_bytes: usize,
     /// Flush scratch bytes: the fill tables (epoch-stamped capacity
-    /// tables, the fair-share queue, rate buffers), the per-component task
-    /// lists and the link → record-slot map — allocated once and reused
-    /// across flushes, so the million-flow RSS gate must see it.
+    /// tables, the fair-share heap and its live-key array, rate buffers),
+    /// the per-component task lists and the link → record-slot map —
+    /// allocated once and reused across flushes, so the million-flow RSS
+    /// gate must see it.
     pub scratch_bytes: usize,
     /// Live flows at measurement time (the divisor for bytes/flow).
     pub live_flows: usize,
