@@ -5,8 +5,9 @@
 //! ```
 //!
 //! Without `--small` the paper-scale obstacle workload is used (1200² grid,
-//! 900 sweeps), which takes a few minutes for the full set; `--small` runs the
-//! reduced workload the Criterion benches use (same shapes, much faster).
+//! 900 sweeps); the full set takes about 35–50 ms on a 2-core Xeon VM, since
+//! the periodic replays are fast-forwarded. `--small` runs the reduced
+//! workload the Criterion benches use (same shapes, smaller grid).
 
 use dperf::OptLevel;
 use p2p_perf::experiments::{

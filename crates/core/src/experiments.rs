@@ -6,54 +6,20 @@
 //! functions accept the application so tests can use the scaled-down instance;
 //! the `experiments` binary runs the paper-scale workload.
 //!
-//! Every sweep here — peer counts within a curve, optimisation levels within
-//! Fig. 9, platforms within Fig. 11 — is embarrassingly parallel: each point
-//! is an independent simulation of an independent [`Scenario`]. Each function
-//! flattens all of its curves into one list of points and runs that list
-//! through one call of an order-preserving scoped-thread map, then regroups
-//! the results per curve. The figures saturate every core while the output
-//! stays byte-identical to a serial run, and no parallel map is ever nested.
+//! Each point of a sweep — a peer count within a curve, an optimisation level
+//! within Fig. 9, a platform within Fig. 11 — is an independent simulation of
+//! an independent [`Scenario`], run in order on the calling thread. Since the
+//! periodic replays are fast-forwarded, the whole paper-scale set takes under
+//! a tenth of a second, too little for a thread map to pay for itself.
 
 use crate::scenario::{PlatformKind, Scenario};
 use dperf::equivalence::Tolerance;
 use dperf::report::{Figure, Series};
 use dperf::{EquivalenceTable, OptLevel, PerfCurve};
 use obstacle::ObstacleApp;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The peer counts of the paper's evaluation: 2^n for n in 1..=5.
 pub const PAPER_PEER_COUNTS: [usize; 5] = [2, 4, 8, 16, 32];
-
-/// The number of workers the figure sweeps use: one per available core.
-fn workers() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Map `f` over `items` on at most `workers` scoped threads and return the
-/// results in input order. Workers claim the next index from a shared
-/// counter, so a slow point never holds up a free core. A panic in `f`
-/// reaches the caller with its original payload.
-fn scope_map<T: Sync, R: Send>(items: &[T], workers: usize, f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    let next = AtomicUsize::new(0);
-    let claim = || {
-        std::iter::from_fn(|| {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            Some((i, f(items.get(i)?)))
-        })
-        .collect::<Vec<_>>()
-    };
-    let mut done: Vec<(usize, R)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers.min(items.len()))
-            .map(|_| s.spawn(claim))
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    });
-    done.sort_unstable_by_key(|&(i, _)| i);
-    done.into_iter().map(|(_, r)| r).collect()
-}
 
 /// Which time a curve plots: the P2PDC reference execution
 /// (`t_normal_execution`) or the dPerf prediction (`t_predicted`).
@@ -67,32 +33,21 @@ enum Run {
 /// optimisation level, over a list of peer counts.
 type Curve<'a> = (Run, PlatformKind, OptLevel, &'a [usize]);
 
-/// Simulate every point of every curve through one [`scope_map`] call, then
-/// regroup the times per curve.
-fn run_curves<const N: usize>(
-    app: &ObstacleApp,
-    curves: &[Curve; N],
-    workers: usize,
-) -> [PerfCurve; N] {
-    let points: Vec<(&Curve, usize)> = curves
-        .iter()
-        .flat_map(|c| c.3.iter().map(move |&n| (c, n)))
-        .collect();
-    let mut times = scope_map(&points, workers, |&(&(run, platform, opt, _), n)| {
-        let scenario = Scenario::new(platform, n)
-            .with_app(app.clone())
-            .with_opt(opt);
-        match run {
-            Run::Reference => scenario.run_reference().total,
-            Run::Prediction => scenario.predict().total,
-        }
-        .as_secs_f64()
-    })
-    .into_iter();
-    curves.each_ref().map(|&(_, platform, _, sizes)| {
+/// Simulate every point of every curve, in order.
+fn run_curves<const N: usize>(app: &ObstacleApp, curves: &[Curve; N]) -> [PerfCurve; N] {
+    curves.each_ref().map(|&(run, platform, opt, sizes)| {
         let points: Vec<(usize, f64)> = sizes
             .iter()
-            .map(|&n| (n, times.next().expect("one time per point")))
+            .map(|&n| {
+                let scenario = Scenario::new(platform, n)
+                    .with_app(app.clone())
+                    .with_opt(opt);
+                let time = match run {
+                    Run::Reference => scenario.run_reference().total,
+                    Run::Prediction => scenario.predict().total,
+                };
+                (n, time.as_secs_f64())
+            })
             .collect();
         PerfCurve::from_secs(platform.label(), &points)
     })
@@ -106,7 +61,7 @@ pub fn reference_curve(
     sizes: &[usize],
     opt: OptLevel,
 ) -> PerfCurve {
-    let [curve] = run_curves(app, &[(Run::Reference, platform, opt, sizes)], workers());
+    let [curve] = run_curves(app, &[(Run::Reference, platform, opt, sizes)]);
     curve
 }
 
@@ -118,7 +73,7 @@ pub fn prediction_curve(
     sizes: &[usize],
     opt: OptLevel,
 ) -> PerfCurve {
-    let [curve] = run_curves(app, &[(Run::Prediction, platform, opt, sizes)], workers());
+    let [curve] = run_curves(app, &[(Run::Prediction, platform, opt, sizes)]);
     curve
 }
 
@@ -134,16 +89,12 @@ fn curve_to_series(label: impl Into<String>, curve: &PerfCurve) -> Series {
 /// **Fig. 9** — Stage-1 reference execution time of the obstacle problem on
 /// the Bordeplage cluster for every GCC optimisation level.
 pub fn fig9_reference_times(app: &ObstacleApp, sizes: &[usize]) -> Figure {
-    fig9_on(app, sizes, workers())
-}
-
-fn fig9_on(app: &ObstacleApp, sizes: &[usize], workers: usize) -> Figure {
     let mut fig = Figure::new(
         "Fig. 9 — Stage-1 reference execution time, obstacle problem in the P2PDC environment",
     );
     let levels = OptLevel::all();
     let curves = levels.map(|opt| (Run::Reference, PlatformKind::Grid5000, opt, sizes));
-    for (opt, curve) in levels.iter().zip(run_curves(app, &curves, workers)) {
+    for (opt, curve) in levels.iter().zip(run_curves(app, &curves)) {
         fig.push(curve_to_series(
             format!("optimization level {}", opt.label()),
             &curve,
@@ -161,7 +112,7 @@ pub fn fig10_prediction_accuracy(app: &ObstacleApp, sizes: &[usize], opt: OptLev
     ));
     let curves =
         [Run::Reference, Run::Prediction].map(|run| (run, PlatformKind::Grid5000, opt, sizes));
-    let [reference, prediction] = run_curves(app, &curves, workers());
+    let [reference, prediction] = run_curves(app, &curves);
     fig.push(curve_to_series("reference time", &reference));
     fig.push(curve_to_series("prediction with dPerf", &prediction));
     fig
@@ -183,7 +134,6 @@ pub fn fig11_topology_comparison(app: &ObstacleApp, sizes: &[usize], opt: OptLev
             (Run::Prediction, PlatformKind::Xdsl, opt, sizes),
             (Run::Prediction, PlatformKind::Lan, opt, sizes),
         ],
-        workers(),
     );
     fig.push(curve_to_series("reference time", &reference));
     for curve in &predictions {
@@ -204,16 +154,6 @@ pub fn equivalence_table(
     candidate_sizes: &[usize],
     opt: OptLevel,
 ) -> EquivalenceTable {
-    equivalence_table_on(app, reference_sizes, candidate_sizes, opt, workers())
-}
-
-fn equivalence_table_on(
-    app: &ObstacleApp,
-    reference_sizes: &[usize],
-    candidate_sizes: &[usize],
-    opt: OptLevel,
-    workers: usize,
-) -> EquivalenceTable {
     let [reference, xdsl, lan] = run_curves(
         app,
         &[
@@ -226,7 +166,6 @@ fn equivalence_table_on(
             (Run::Prediction, PlatformKind::Xdsl, opt, candidate_sizes),
             (Run::Prediction, PlatformKind::Lan, opt, candidate_sizes),
         ],
-        workers,
     );
     EquivalenceTable::build(
         &reference,
@@ -249,74 +188,6 @@ mod tests {
             sweeps: 90,
             flops_per_point: 21.0,
         }
-    }
-
-    fn squares() -> (Vec<u64>, Vec<u64>) {
-        let items: Vec<u64> = (0..37).collect();
-        let serial = items.iter().map(|x| x * x + 1).collect();
-        (items, serial)
-    }
-
-    #[test]
-    fn scope_map_with_one_worker_equals_a_serial_map() {
-        let (items, serial) = squares();
-        assert_eq!(scope_map(&items, 1, |x| x * x + 1), serial);
-    }
-
-    #[test]
-    fn scope_map_keeps_order_with_more_workers_than_items() {
-        let (items, serial) = squares();
-        for workers in [2, 3, 64] {
-            assert_eq!(
-                scope_map(&items, workers, |x| x * x + 1),
-                serial,
-                "{workers} workers"
-            );
-        }
-    }
-
-    #[test]
-    fn scope_map_runs_at_most_the_given_workers() {
-        // Every item waits for a second one to run at the same time, so the
-        // two workers take the items in pairs.
-        let items: Vec<u32> = (0..16).collect();
-        let pair = std::sync::Barrier::new(2);
-        let ids = scope_map(&items, 2, |_| {
-            pair.wait();
-            std::thread::current().id()
-        });
-        let distinct: std::collections::HashSet<_> = ids.into_iter().collect();
-        assert_eq!(distinct.len(), 2);
-    }
-
-    #[test]
-    fn scope_map_on_an_empty_input_is_empty() {
-        for workers in [1, 4] {
-            assert!(scope_map(&[] as &[u8], workers, |&x| x).is_empty());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "point 5 failed")]
-    fn scope_map_passes_a_panic_to_the_caller() {
-        let items: Vec<usize> = (0..8).collect();
-        scope_map(&items, 2, |&i| {
-            assert!(i != 5, "point {i} failed");
-            i
-        });
-    }
-
-    #[test]
-    fn figures_render_byte_identically_to_a_serial_run() {
-        let sizes = [2, 4, 8];
-        assert_eq!(
-            fig9_reference_times(&tiny(), &sizes).render(),
-            fig9_on(&tiny(), &sizes, 1).render()
-        );
-        assert_eq!(
-            equivalence_table(&tiny(), &[2, 4], &sizes, OptLevel::O0).render(),
-            equivalence_table_on(&tiny(), &[2, 4], &sizes, OptLevel::O0, 1).render()
-        );
     }
 
     #[test]

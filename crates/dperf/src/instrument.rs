@@ -180,14 +180,6 @@ fn guard_text(guard: &Guard) -> String {
     }
 }
 
-/// Convenience free function mirroring the dPerf pipeline step name.
-pub fn instrument(program: &Program) -> InstrumentedProgram {
-    InstrumentedProgram::instrument(program)
-}
-
-#[allow(unused_imports)]
-use crate::ir::ParamEnv; // referenced by doc examples
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,7 +198,7 @@ mod tests {
 
     #[test]
     fn every_block_and_comm_site_gets_a_probe() {
-        let ins = instrument(&sample());
+        let ins = InstrumentedProgram::instrument(&sample());
         assert_eq!(ins.probes.len(), 4);
         assert_eq!(ins.block_probe_count(), 2);
         assert_eq!(ins.probes[0].site, "init");
@@ -219,7 +211,7 @@ mod tests {
 
     #[test]
     fn unparse_mentions_probes_and_structure() {
-        let ins = instrument(&sample());
+        let ins = InstrumentedProgram::instrument(&sample());
         let src = ins.unparse();
         assert!(src.contains("probe_start(0)"));
         assert!(src.contains("probe_stop(0)"));
@@ -235,7 +227,7 @@ mod tests {
     #[test]
     fn instrumentation_does_not_change_the_program() {
         let p = sample();
-        let ins = instrument(&p);
+        let ins = InstrumentedProgram::instrument(&p);
         assert_eq!(ins.program, p);
     }
 }

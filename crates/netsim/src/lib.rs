@@ -113,8 +113,8 @@ pub use network::{
 };
 pub use platform::{HostSpec, Link, LinkSpec, Node, NodeKind, Platform, PlatformBuilder, Route};
 pub use replay::{
-    replay, ProcessScript, ProtocolCosts, PushError, ReplayConfig, ReplayOp, ReplayResult,
-    ReplaySession, ScriptError,
+    replay, ProcessScript, ProtocolCosts, ReplayConfig, ReplayOp, ReplayResult, ReplaySession,
+    ScriptError,
 };
 pub use stream::{DeliveryRecord, StreamError, StreamEvent, StreamSession};
 pub use topology::{

@@ -970,6 +970,11 @@ impl Network {
             .map(|f| f.token)
     }
 
+    /// The caller token and wire size of flow `id`, if it is in flight.
+    pub(crate) fn flow_token(&self, id: FlowId) -> Option<(u64, DataSize)> {
+        self.flow(id).map(|f| (f.token, f.size))
+    }
+
     /// Resolve a flow id against the slab (generation-checked).
     fn flow(&self, id: FlowId) -> Option<&FlowState> {
         let slot = self.slots.get(id.slot() as usize)?;

@@ -18,7 +18,7 @@
 use p2p_common::{Bandwidth, DataSize, HostId, IdMap, IpAddr, NodeId, SimDuration};
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// What kind of equipment a platform node models.
@@ -132,7 +132,6 @@ pub struct Platform {
     leaf: Vec<bool>,
     /// Host table: `HostId(i)` is `hosts[i]`.
     hosts: Vec<NodeId>,
-    node_of_name: HashMap<String, NodeId>,
     /// Keyed by validated host ids, so the fixed [`IdMap`] hash is safe.
     route_cache: IdMap<(HostId, HostId), Arc<Route>>,
     /// Dijkstra's per-node arrays, reused across route misses.
@@ -189,8 +188,8 @@ impl RouteScratch {
 }
 
 impl Platform {
-    /// Assemble a platform from its graph, deriving the adjacency index, the
-    /// leaf marks and the name table; the route cache starts empty.
+    /// Assemble a platform from its graph, deriving the adjacency index and
+    /// the leaf marks; the route cache starts empty.
     fn index(nodes: Vec<Node>, links: Vec<Link>, hosts: Vec<NodeId>) -> Platform {
         let mut adj = vec![Vec::new(); nodes.len()];
         // A node stays a leaf while all its links join the first neighbour
@@ -207,14 +206,12 @@ impl Platform {
                 }
             }
         }
-        let node_of_name = nodes.iter().map(|n| (n.name.clone(), n.id)).collect();
         Platform {
             nodes,
             links,
             adj,
             leaf,
             hosts,
-            node_of_name,
             route_cache: IdMap::default(),
             scratch: RouteScratch::default(),
         }
@@ -248,22 +245,6 @@ impl Platform {
     /// The host record.
     pub fn host(&self, h: HostId) -> &Node {
         &self.nodes[self.node_of_host(h).index()]
-    }
-
-    /// Look a node up by name.
-    pub fn node_by_name(&self, name: &str) -> Option<&Node> {
-        self.node_of_name
-            .get(name)
-            .map(|id| &self.nodes[id.index()])
-    }
-
-    /// Look a host up by name.
-    pub fn host_by_name(&self, name: &str) -> Option<HostId> {
-        let node = self.node_of_name.get(name)?;
-        self.hosts
-            .iter()
-            .position(|&n| n == *node)
-            .map(|i| HostId::new(i as u32))
     }
 
     /// Compute (or fetch from cache) the route between two hosts. Panics if
@@ -363,10 +344,10 @@ impl Platform {
 }
 
 /// Serialization captures only the graph (nodes, links, host table). The
-/// adjacency index, the leaf marks, the name table, the route cache and the
-/// search scratch are derived data: they are rebuilt on restore, and
-/// `route_cache` restarts empty — routes are recomputed on demand by the
-/// same deterministic Dijkstra (latency, then hop count), so a restored
+/// adjacency index, the leaf marks, the route cache and the search scratch
+/// are derived data: they are rebuilt on restore, and `route_cache`
+/// restarts empty — routes are recomputed on demand by the same
+/// deterministic Dijkstra (latency, then hop count), so a restored
 /// simulation sees identical paths.
 impl Serialize for Platform {
     fn to_value(&self) -> Value {
@@ -523,9 +504,6 @@ mod tests {
         assert_eq!(p.nodes().len(), 4);
         assert_eq!(p.host_count(), 2);
         assert_eq!(p.links().len(), 8, "4 physical links = 8 directed halves");
-        assert!(p.node_by_name("sw").is_some());
-        assert_eq!(p.host_by_name("h1"), Some(HostId::new(1)));
-        assert_eq!(p.host_by_name("missing"), None);
     }
 
     #[test]
@@ -658,11 +636,6 @@ mod tests {
         let mut q = Platform::from_value(&p.to_value()).unwrap();
         assert_eq!(q.nodes().len(), p.nodes().len());
         assert_eq!(q.links().len(), p.links().len());
-        assert_eq!(
-            q.host_by_name("h1"),
-            Some(HostId::new(1)),
-            "name table rebuilt"
-        );
         let a = p.route(HostId::new(0), HostId::new(1));
         let b = q.route(HostId::new(0), HostId::new(1));
         assert_eq!(a.links, b.links, "restored Dijkstra picks the same path");

@@ -4,8 +4,10 @@
 //! based on a deployment platform defined by us" (paper §III-D.1). This module
 //! is that replay kernel: every process (rank) owns a *script* of operations —
 //! compute for some duration, send a message, wait for a message, repeat a
-//! block of operations — and the engine executes all scripts against a
-//! [`Platform`], yielding the simulated makespan `t_predicted`.
+//! block of operations (the four [`ReplayOp`]s) — and the engine executes
+//! all scripts against a [`Platform`], yielding the simulated makespan
+//! `t_predicted`. A malformed script, or a malformed batch streamed into a
+//! live replay, is a [`ScriptError`], never a panic.
 //!
 //! Message semantics are the eager/rendezvous-free semantics the P2PDC
 //! obstacle code relies on: a `Send` is asynchronous (the sender continues
@@ -37,13 +39,15 @@
 //! periods at once: clocks move by the period's duration, every counter by
 //! its per-period increment, and the remaining iterations and the ops after
 //! the loop replay normally. The result is the one the event-by-event replay
-//! gives, to the nanosecond and the byte.
+//! gives, to the nanosecond and the byte. A pending delivery is named by its
+//! flow's token in the checkpointed token table, so a restored session
+//! searches from its first boundary on.
 
 use crate::checkpoint::{self, CheckpointError};
 use crate::event::{Scheduler, World};
 use crate::network::{FlowDelivery, NetEvent, NetStats, NetWorldEvent, Network, SharingMode};
 use crate::platform::Platform;
-use p2p_common::{DataSize, FlowId, HostId, IdMap, SimDuration, SimTime};
+use p2p_common::{DataSize, HostId, IdMap, SimDuration, SimTime};
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::collections::hash_map::Entry;
 use std::path::Path;
@@ -70,18 +74,6 @@ pub enum ReplayOp {
         /// Source rank to match.
         from: usize,
         /// Message tag to match.
-        tag: u32,
-    },
-    /// Convenience: send to `to`, then wait for a message from `from`
-    /// (the classic halo exchange). Expanded to `Send` + `Recv` internally.
-    SendRecv {
-        /// Destination rank of the send half.
-        to: usize,
-        /// Source rank the receive half waits for.
-        from: usize,
-        /// Payload size of the send half.
-        bytes: u64,
-        /// Tag used by both halves.
         tag: u32,
     },
     /// Loop header: the next `len` ops of the script (the body) run `count`
@@ -365,13 +357,14 @@ impl NetWorldEvent for Ev {
     }
 }
 
-/// A message in flight, without the ids that name it.
+/// A message in flight, without the ids that name it: its ranks, its tag
+/// and its size on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Msg {
     src: usize,
     dst: usize,
     tag: u32,
-    bytes: u64,
+    size: DataSize,
 }
 
 /// What a pending event does when it fires.
@@ -427,7 +420,11 @@ struct ReplayWorld {
     net: Network,
     procs: Vec<Proc>,
     protocol: ProtocolCosts,
-    token_info: IdMap<u64, (usize, usize, u32)>, // token -> (src, dst, tag)
+    /// The `(src, dst, tag)` of each message in flight, keyed by the token
+    /// its flow carries. Checkpointed, so the period search can name every
+    /// pending delivery, flows started before a restore included.
+    token_info: IdMap<u64, (usize, usize, u32)>,
+    /// The token the next message's flow carries.
     next_token: u64,
     messages_sent: u64,
     /// Network counters skipped over by jumps, added to the network's own.
@@ -436,10 +433,6 @@ struct ReplayWorld {
     detect: Option<Detector>,
     /// Set when the reference rank starts a new outermost-loop iteration.
     crossed: bool,
-    /// The message each flow slot carries, with the flow id that owns it
-    /// (kept while the period search runs; rebuilt as flows start, so a
-    /// restored session fingerprints once its older flows have landed).
-    flow_msgs: Vec<Option<(FlowId, Msg)>>,
 }
 
 impl ReplayWorld {
@@ -463,7 +456,6 @@ impl ReplayWorld {
             jumped,
             detect,
             crossed: false,
-            flow_msgs: Vec::new(),
         }
     }
 
@@ -530,9 +522,6 @@ impl ReplayWorld {
                         p.pc += 1;
                     }
                 }
-                ReplayOp::SendRecv { .. } => {
-                    unreachable!("SendRecv is expanded before the replay starts")
-                }
             }
         }
     }
@@ -552,20 +541,7 @@ impl ReplayWorld {
         let size = DataSize::from_bytes(bytes + self.protocol.header_bytes);
         let src_host = self.procs[from].host;
         let dst_host = self.procs[to].host;
-        let flow = self.net.start_flow(sched, src_host, dst_host, size, token);
-        if self.detect.is_some() {
-            let slot = flow.slot() as usize;
-            if slot >= self.flow_msgs.len() {
-                self.flow_msgs.resize(slot + 1, None);
-            }
-            let msg = Msg {
-                src: from,
-                dst: to,
-                tag,
-                bytes,
-            };
-            self.flow_msgs[slot] = Some((flow, msg));
-        }
+        self.net.start_flow(sched, src_host, dst_host, size, token);
     }
 
     fn deliver(&mut self, sched: &mut Scheduler<Ev>, delivery: FlowDelivery) {
@@ -592,7 +568,7 @@ impl ReplayWorld {
     }
 
     /// The pending events in pop order, relative to `now`; `None` if one of
-    /// them is a flow whose message is unknown (started before a restore).
+    /// them is not a rank's resume or a live flow's completion.
     fn pending(&self, sched: &Scheduler<Ev>) -> Option<Vec<(SimDuration, Pending)>> {
         let now = sched.now();
         sched
@@ -602,11 +578,14 @@ impl ReplayWorld {
                 let effect = match *ev {
                     Ev::Resume { rank } => Pending::Resume(rank),
                     Ev::Net(NetEvent::FlowCompletion { flow, .. }) => {
-                        let (id, msg) = (*self.flow_msgs.get(flow.slot() as usize)?)?;
-                        if id != flow {
-                            return None;
-                        }
-                        Pending::Deliver(msg)
+                        let (token, size) = self.net.flow_token(flow)?;
+                        let &(src, dst, tag) = self.token_info.get(&token)?;
+                        Pending::Deliver(Msg {
+                            src,
+                            dst,
+                            tag,
+                            size,
+                        })
                     }
                     Ev::Net(_) => return None,
                 };
@@ -843,114 +822,58 @@ impl World for ReplayWorld {
     }
 }
 
-/// What is wrong with one op of a script or a pushed batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum OpFault {
-    UnknownPeer(usize),
-    EmptyRepeat,
-    RepeatOverrun,
-    TooLong,
-}
-
-/// Check `ops` for a replay of `ranks` ranks: every peer is a rank, every
-/// loop body is non-empty and ends inside the body (or script) around it,
-/// and the number of ops the replay runs, loops unrolled and `SendRecv`
-/// counted twice, fits a `u64`. Reports the position and kind of the first
-/// fault. Nesting is walked with an explicit stack, so
-/// no depth of loops can overflow the call stack.
-fn check_ops(ops: &[ReplayOp], ranks: usize) -> Result<(), (usize, OpFault)> {
-    // Loops around `pc`: (header position, end of the enclosing body, trip
-    // count, ops counted in the enclosing body before the header).
-    let mut open: Vec<(usize, usize, u64, u64)> = Vec::new();
+/// Check rank `rank`'s ops `ops` for a replay of `ranks` ranks: every peer
+/// is a rank, every loop body is non-empty and ends inside the body (or
+/// script) around it, and the number of ops the replay runs, loops
+/// unrolled, fits a `u64`. Reports the first fault, with positions counted
+/// from the start of `ops`. Nesting is walked with an explicit stack, so no
+/// depth of loops can overflow the call stack.
+fn check_ops(ops: &[ReplayOp], rank: usize, ranks: usize) -> Result<(), ScriptError> {
+    // Loops around `pc`: (end of the enclosing body, trip count, ops counted
+    // in the enclosing body before the header).
+    let mut open: Vec<(usize, u64, u64)> = Vec::new();
     let (mut pc, mut end, mut total) = (0usize, ops.len(), 0u64);
+    let too_long = ScriptError::TooLong { rank };
     loop {
         while pc == end {
-            let Some((head, outer_end, count, before)) = open.pop() else {
+            let Some((outer_end, count, before)) = open.pop() else {
                 return Ok(());
             };
             total = total
                 .checked_mul(count)
                 .and_then(|n| n.checked_add(before))
-                .ok_or((head, OpFault::TooLong))?;
+                .ok_or(too_long)?;
             end = outer_end;
         }
-        let peer_ok = |peer: usize| {
-            if peer < ranks {
-                Ok(())
-            } else {
-                Err((pc, OpFault::UnknownPeer(peer)))
-            }
-        };
-        let n = match ops[pc] {
-            ReplayOp::Compute { .. } => 1,
+        match ops[pc] {
+            ReplayOp::Compute { .. } => {}
             ReplayOp::Send { to: peer, .. } | ReplayOp::Recv { from: peer, .. } => {
-                peer_ok(peer)?;
-                1
-            }
-            ReplayOp::SendRecv { to, from, .. } => {
-                peer_ok(to)?;
-                peer_ok(from)?;
-                2
+                if peer >= ranks {
+                    return Err(ScriptError::UnknownPeer { rank, op: pc, peer });
+                }
             }
             ReplayOp::Repeat { count, len } => {
                 if len == 0 {
-                    return Err((pc, OpFault::EmptyRepeat));
+                    return Err(ScriptError::EmptyRepeat { rank, op: pc });
                 }
                 if len > end - pc - 1 {
-                    return Err((pc, OpFault::RepeatOverrun));
+                    return Err(ScriptError::RepeatOverrun { rank, op: pc });
                 }
-                open.push((pc, end, count, total));
+                open.push((end, count, total));
                 (end, total) = (pc + 1 + len, 0);
                 pc += 1;
                 continue;
             }
-        };
-        total = total.checked_add(n).ok_or((pc, OpFault::TooLong))?;
+        }
+        total = total.checked_add(1).ok_or(too_long)?;
         pc += 1;
     }
 }
 
-/// Expand `SendRecv` into `Send` followed by `Recv`, fixing the length of
-/// every loop body around it. `ops` must have passed [`check_ops`].
-fn expand_ops(ops: &[ReplayOp]) -> Vec<ReplayOp> {
-    let mut out = Vec::with_capacity(ops.len());
-    // Loops being copied: (header position in `out`, body end in `ops`).
-    let mut open: Vec<(usize, usize)> = Vec::new();
-    let close = |out: &mut Vec<ReplayOp>, head: usize| {
-        let body = out.len() - head - 1;
-        if let ReplayOp::Repeat { len, .. } = &mut out[head] {
-            *len = body;
-        }
-    };
-    for (pc, &op) in ops.iter().enumerate() {
-        while let Some(&(head, _)) = open.last().filter(|&&(_, end)| end == pc) {
-            open.pop();
-            close(&mut out, head);
-        }
-        match op {
-            ReplayOp::SendRecv {
-                to,
-                from,
-                bytes,
-                tag,
-            } => {
-                out.push(ReplayOp::Send { to, bytes, tag });
-                out.push(ReplayOp::Recv { from, tag });
-            }
-            ReplayOp::Repeat { len, .. } => {
-                open.push((out.len(), pc + 1 + len));
-                out.push(op);
-            }
-            other => out.push(other),
-        }
-    }
-    while let Some((head, _)) = open.pop() {
-        close(&mut out, head);
-    }
-    out
-}
-
-/// Why a script set cannot be replayed ([`ReplaySession::new`], [`replay`]).
+/// Why a script set cannot be replayed ([`ReplaySession::new`], [`replay`])
+/// or a batch of ops cannot be appended ([`ReplaySession::push_ops`]). For a
+/// batch, `rank` is the rank it was pushed to and `op` counts from the start
+/// of the batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScriptError {
     /// The number of host mappings differs from the number of scripts.
@@ -965,6 +888,11 @@ pub enum ScriptError {
         /// Position of the script in the list.
         index: usize,
         /// The rank it declares.
+        rank: usize,
+    },
+    /// A batch was pushed to `rank`, which is not a rank of the replay.
+    UnknownRank {
+        /// The rank pushed to.
         rank: usize,
     },
     /// A rank maps to a host the platform does not have.
@@ -1005,17 +933,6 @@ pub enum ScriptError {
     },
 }
 
-impl ScriptError {
-    fn from_fault(rank: usize, (op, fault): (usize, OpFault)) -> Self {
-        match fault {
-            OpFault::UnknownPeer(peer) => ScriptError::UnknownPeer { rank, op, peer },
-            OpFault::EmptyRepeat => ScriptError::EmptyRepeat { rank, op },
-            OpFault::RepeatOverrun => ScriptError::RepeatOverrun { rank, op },
-            OpFault::TooLong => ScriptError::TooLong { rank },
-        }
-    }
-}
-
 impl std::fmt::Display for ScriptError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match *self {
@@ -1025,6 +942,7 @@ impl std::fmt::Display for ScriptError {
             ScriptError::Misnumbered { index, rank } => {
                 write!(f, "script {index} declares rank {rank}")
             }
+            ScriptError::UnknownRank { rank } => write!(f, "rank {rank} is not in the replay"),
             ScriptError::UnknownHost { rank, host } => {
                 write!(f, "rank {rank} maps to {host}, which the platform lacks")
             }
@@ -1052,66 +970,6 @@ impl std::fmt::Display for ScriptError {
 }
 
 impl std::error::Error for ScriptError {}
-
-/// Why [`ReplaySession::push_ops`] rejected a batch of operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PushError {
-    /// The target rank is not a rank of the replay.
-    UnknownRank {
-        /// The offending rank.
-        rank: usize,
-    },
-    /// Operation `op` of the batch names `peer`, which is not a rank of the
-    /// replay.
-    UnknownPeer {
-        /// Position of the operation in the batch.
-        op: usize,
-        /// The peer it names.
-        peer: usize,
-    },
-    /// Operation `op` of the batch is a `Repeat` with an empty body.
-    EmptyRepeat {
-        /// Position of the header in the batch.
-        op: usize,
-    },
-    /// Operation `op` of the batch is a `Repeat` whose body runs past the
-    /// end of the body or batch around it.
-    RepeatOverrun {
-        /// Position of the header in the batch.
-        op: usize,
-    },
-    /// The batch, loops unrolled, has more than `u64::MAX` ops.
-    TooLong,
-}
-
-impl PushError {
-    fn from_fault((op, fault): (usize, OpFault)) -> Self {
-        match fault {
-            OpFault::UnknownPeer(peer) => PushError::UnknownPeer { op, peer },
-            OpFault::EmptyRepeat => PushError::EmptyRepeat { op },
-            OpFault::RepeatOverrun => PushError::RepeatOverrun { op },
-            OpFault::TooLong => PushError::TooLong,
-        }
-    }
-}
-
-impl std::fmt::Display for PushError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PushError::UnknownRank { rank } => write!(f, "rank {rank} is not in the replay"),
-            PushError::UnknownPeer { op, peer } => {
-                write!(f, "op {op} names rank {peer}, which is not in the replay")
-            }
-            PushError::EmptyRepeat { op } => write!(f, "op {op} repeats an empty body"),
-            PushError::RepeatOverrun { op } => {
-                write!(f, "the body of op {op} runs past its enclosing body")
-            }
-            PushError::TooLong => write!(f, "the unrolled batch overflows a u64 op count"),
-        }
-    }
-}
-
-impl std::error::Error for PushError {}
 
 /// Check that the open loops `loops` and the program counter `pc` describe
 /// a place in `ops`: each frame is a `Repeat` header inside the body of the
@@ -1231,14 +1089,14 @@ impl ReplaySession {
             if host.index() >= platform.host_count() {
                 return Err(ScriptError::UnknownHost { rank: i, host });
             }
-            check_ops(&s.ops, ranks).map_err(|fault| ScriptError::from_fault(i, fault))?;
+            check_ops(&s.ops, i, ranks)?;
         }
         let procs: Vec<Proc> = scripts
             .iter()
             .zip(rank_hosts)
             .map(|(s, &h)| Proc {
                 host: h,
-                ops: expand_ops(&s.ops),
+                ops: s.ops.clone(),
                 pc: 0,
                 loops: Vec::new(),
                 state: ProcState::Ready,
@@ -1305,26 +1163,27 @@ impl ReplaySession {
     }
 
     /// Append operations to rank `rank`'s script while the replay is live —
-    /// the streaming entry point. `SendRecv` is expanded and `Repeat` bodies
-    /// are checked exactly as in [`ReplaySession::new`]. A rank that had
-    /// already finished is revived: its finish time is cleared and it
-    /// resumes at the current virtual time.
+    /// the streaming entry point. The batch is checked on its own exactly
+    /// as a script is in [`ReplaySession::new`]. A rank that had already
+    /// finished is revived: its finish time is cleared and it resumes at
+    /// the current virtual time.
     ///
     /// Rejects the whole batch, leaving the session unchanged, if `rank` or
     /// a peer named by one of `ops` is not a rank of the replay, or a loop
-    /// in the batch is malformed.
-    pub fn push_ops(&mut self, rank: usize, ops: &[ReplayOp]) -> Result<(), PushError> {
+    /// in the batch is malformed ([`ScriptError::UnknownRank`], or the
+    /// error [`ReplaySession::new`] gives, with `op` counted from the start
+    /// of the batch).
+    pub fn push_ops(&mut self, rank: usize, ops: &[ReplayOp]) -> Result<(), ScriptError> {
         let ranks = self.world.procs.len();
         if rank >= ranks {
-            return Err(PushError::UnknownRank { rank });
+            return Err(ScriptError::UnknownRank { rank });
         }
-        check_ops(ops, ranks).map_err(PushError::from_fault)?;
-        let expanded = expand_ops(ops);
+        check_ops(ops, rank, ranks)?;
         if let Some(det) = &mut self.world.detect {
             *det = Detector::default();
         }
         let p = &mut self.world.procs[rank];
-        p.ops.extend(expanded);
+        p.ops.extend_from_slice(ops);
         if p.state == ProcState::Done {
             p.state = ProcState::Ready;
             p.finish = None;
@@ -1401,11 +1260,6 @@ impl ReplaySession {
         let procs: Vec<Proc> = serde::field(fields, "procs", "ReplaySession")?;
         let hosts = net.platform().host_count();
         let ranks = procs.len();
-        let bad = |i: usize, what: String| {
-            Err(CheckpointError::Format(format!(
-                "rank {i}: {what} outside the {ranks}-rank replay"
-            )))
-        };
         for (i, p) in procs.iter().enumerate() {
             if p.host.index() >= hosts {
                 return Err(CheckpointError::Format(format!(
@@ -1413,32 +1267,14 @@ impl ReplaySession {
                     p.host
                 )));
             }
-            // Scripts are stored expanded; the kernel never runs a SendRecv.
-            if let Some(pc) = p
-                .ops
-                .iter()
-                .position(|op| matches!(op, ReplayOp::SendRecv { .. }))
-            {
-                return Err(CheckpointError::Format(format!(
-                    "rank {i}: op {pc} is an unexpanded SendRecv"
-                )));
-            }
-            match check_ops(&p.ops, ranks) {
-                Ok(()) => {}
-                Err((pc, OpFault::UnknownPeer(peer))) => {
-                    return bad(i, format!("op {pc} names rank {peer}"));
-                }
-                Err(fault) => {
-                    return Err(CheckpointError::Format(
-                        ScriptError::from_fault(i, fault).to_string(),
-                    ));
-                }
-            }
+            check_ops(&p.ops, i, ranks).map_err(|e| CheckpointError::Format(e.to_string()))?;
             check_frames(&p.ops, p.pc, &p.loops)
                 .map_err(|e| CheckpointError::Format(format!("rank {i}: {e}")))?;
             if let ProcState::Waiting { from, .. } = p.state {
                 if from >= ranks {
-                    return bad(i, format!("waits for rank {from}"));
+                    return Err(CheckpointError::Format(format!(
+                        "rank {i}: waits for rank {from} outside the {ranks}-rank replay"
+                    )));
                 }
             }
         }
@@ -1544,6 +1380,14 @@ mod tests {
         }
     }
 
+    /// Send to `to`, then wait for a message from `from`: a halo exchange.
+    fn exchange(to: usize, from: usize, bytes: u64, tag: u32) -> [ReplayOp; 2] {
+        [
+            ReplayOp::Send { to, bytes, tag },
+            ReplayOp::Recv { from, tag },
+        ]
+    }
+
     #[test]
     fn pure_compute_makespan_is_the_slowest_rank() {
         let (p, hosts) = star_platform(3);
@@ -1595,20 +1439,22 @@ mod tests {
     #[test]
     fn sendrecv_exchange_does_not_deadlock() {
         let (p, hosts) = star_platform(2);
-        let xchg = |other: usize| ReplayOp::SendRecv {
-            to: other,
-            from: other,
-            bytes: 9600,
-            tag: 7,
+        let xchg = |other: usize, first: u64| {
+            [
+                &[compute(first)],
+                &exchange(other, other, 9600, 7)[..],
+                &[compute(1)],
+            ]
+            .concat()
         };
         let scripts = vec![
             ProcessScript {
                 rank: 0,
-                ops: vec![compute(1), xchg(1), compute(1)],
+                ops: xchg(1, 1),
             },
             ProcessScript {
                 rank: 1,
-                ops: vec![compute(2), xchg(0), compute(1)],
+                ops: xchg(0, 2),
             },
         ];
         let res = replay(p, &hosts, &scripts, &ReplayConfig::default()).unwrap();
@@ -1830,12 +1676,7 @@ mod tests {
             .map(|r| {
                 let mut ops = vec![compute(1)];
                 for _ in 0..2 {
-                    ops.push(ReplayOp::SendRecv {
-                        to: (r + 1) % n,
-                        from: (r + n - 1) % n,
-                        bytes: 4_000_000,
-                        tag: 2,
-                    });
+                    ops.extend(exchange((r + 1) % n, (r + n - 1) % n, 4_000_000, 2));
                 }
                 ProcessScript { rank: r, ops }
             })
@@ -1920,7 +1761,7 @@ mod tests {
             r#"{"Recv":{"from":3,"tag":2}}"#,
             r#"{"SendRecv":{"to":1,"from":7,"bytes":1,"tag":2}}"#,
         )]);
-        assert!(restore_err(&v).contains("unexpanded SendRecv"));
+        assert!(restore_err(&v).contains("unknown ReplayOp variant SendRecv"));
     }
 
     #[test]
@@ -2011,13 +1852,7 @@ mod tests {
         s.run_until(None);
         rejected(&mut s);
         assert!(s.finished(), "a rejected push revives no rank");
-        let exchange = ReplayOp::SendRecv {
-            to: 1,
-            from: 1,
-            bytes: 12_500,
-            tag: 3,
-        };
-        s.push_ops(0, &[exchange]).unwrap();
+        s.push_ops(0, &exchange(1, 1, 12_500, 3)).unwrap();
         s.push_ops(
             1,
             &[
@@ -2039,7 +1874,7 @@ mod tests {
         let clean = session_after(|_| {});
         let after = session_after(|s| {
             let err = s.push_ops(2, &[compute(1)]).unwrap_err();
-            assert_eq!(err, PushError::UnknownRank { rank: 2 });
+            assert_eq!(err, ScriptError::UnknownRank { rank: 2 });
             assert!(err.to_string().contains("rank 2"));
         });
         assert_eq!(after.finish_times, clean.finish_times);
@@ -2057,18 +1892,26 @@ mod tests {
                 tag: 0,
             };
             let err = s.push_ops(0, &[compute(1), send]).unwrap_err();
-            assert_eq!(err, PushError::UnknownPeer { op: 1, peer: 5 });
+            assert_eq!(
+                err,
+                ScriptError::UnknownPeer {
+                    rank: 0,
+                    op: 1,
+                    peer: 5
+                }
+            );
             assert!(err.to_string().contains("names rank 5"));
             let recv = ReplayOp::Recv { from: 3, tag: 0 };
             assert!(s.push_ops(1, &[recv]).is_err());
-            let exchange = ReplayOp::SendRecv {
-                to: 1,
-                from: 9,
-                bytes: 1,
-                tag: 0,
-            };
-            let err = s.push_ops(0, &[exchange]).unwrap_err();
-            assert_eq!(err, PushError::UnknownPeer { op: 0, peer: 9 });
+            let err = s.push_ops(0, &exchange(1, 9, 1, 0)).unwrap_err();
+            assert_eq!(
+                err,
+                ScriptError::UnknownPeer {
+                    rank: 0,
+                    op: 1,
+                    peer: 9
+                }
+            );
         });
         assert_eq!(after.finish_times, clean.finish_times);
         assert_eq!(after.wait_time, clean.wait_time);
@@ -2162,12 +2005,7 @@ mod tests {
                 }];
                 for peer in [r.wrapping_sub(1), r + 1] {
                     if peer < n {
-                        body.push(ReplayOp::SendRecv {
-                            to: peer,
-                            from: peer,
-                            bytes: 9_600,
-                            tag: 1,
-                        });
+                        body.extend(exchange(peer, peer, 9_600, 1));
                     }
                 }
                 if r == 0 {
@@ -2204,23 +2042,17 @@ mod tests {
 
     #[test]
     fn repeat_scripts_replay_like_their_unrolled_form() {
-        // Nested loops, a SendRecv inside a body, a skipped loop, and a
+        // Nested loops, an exchange inside a body, a skipped loop, and a
         // loop at the very end of a script.
         let (p, hosts) = star_platform(3);
-        // Shift around the ring one way, then the other.
-        let exchange = |to: usize, from: usize| ReplayOp::SendRecv {
-            to,
-            from,
-            bytes: 40_000,
-            tag: 4,
-        };
         let mut scripts = Vec::new();
         for r in 0..3 {
             let mut inner = Vec::new();
             ReplayOp::push_repeat(&mut inner, 3, &[compute(1 + r as u64)]);
+            // Shift around the ring one way, then the other.
             let mut body = inner.clone();
-            body.push(exchange((r + 1) % 3, (r + 2) % 3));
-            body.push(exchange((r + 2) % 3, (r + 1) % 3));
+            body.extend(exchange((r + 1) % 3, (r + 2) % 3, 40_000, 4));
+            body.extend(exchange((r + 2) % 3, (r + 1) % 3, 40_000, 4));
             let mut ops = Vec::new();
             ReplayOp::push_repeat(&mut ops, 0, &[compute(50)]);
             ReplayOp::push_repeat(&mut ops, 4, &body);
@@ -2269,7 +2101,6 @@ mod tests {
         let mut s = ReplaySession::new(p, &hosts, &scripts, &cfg).unwrap();
         assert!(s.world.detect.is_none());
         s.run_until(None);
-        assert!(s.world.flow_msgs.is_empty());
         assert_eq!(s.world.jumped, zero_stats(s.world.jumped.link_bytes.len()));
     }
 
@@ -2381,6 +2212,54 @@ mod tests {
     }
 
     #[test]
+    fn a_restored_session_searches_from_its_first_boundary() {
+        // Rank 1 sends rank 0 a message every 1 ms that takes 3.2 ms to
+        // arrive, so messages from earlier iterations are in flight at each
+        // of rank 0's iteration boundaries, and across the cut.
+        let (p, hosts) = star_platform(2);
+        let send = ReplayOp::Send {
+            to: 0,
+            bytes: 37_500,
+            tag: 0,
+        };
+        let mut zero = Vec::new();
+        ReplayOp::push_repeat(
+            &mut zero,
+            60,
+            &[compute(1), ReplayOp::Recv { from: 1, tag: 0 }],
+        );
+        let mut one = Vec::new();
+        ReplayOp::push_repeat(&mut one, 60, &[compute(1), send]);
+        let scripts = vec![
+            ProcessScript { rank: 0, ops: zero },
+            ProcessScript { rank: 1, ops: one },
+        ];
+        let cfg = ReplayConfig::default();
+        let want = full_replay(p.clone(), &hosts, &scripts, &cfg);
+        let mut cut = ReplaySession::new(p, &hosts, &scripts, &cfg).unwrap();
+        cut.run_until(Some(SimTime::from_micros(10_500)));
+        assert!(!cut.world.token_info.is_empty(), "messages are in flight");
+        let mut s = ReplaySession::restore(&cut.checkpoint()).unwrap();
+        let first_new = s.world.next_token;
+        // Step to the first boundary after the restore.
+        while s.world.detect.as_ref().unwrap().lam == 0 {
+            let next = s.sched.peek_time().expect("rank 0 is still in its loop");
+            s.run_until(Some(next));
+        }
+        assert!(
+            s.world.net.flow_tokens().any(|t| t < first_new),
+            "a message sent before the cut is still in flight"
+        );
+        assert!(
+            s.world.detect.as_ref().unwrap().saved.is_some(),
+            "the first boundary saved no snapshot"
+        );
+        s.run_until(None);
+        assert!(s.world.jumped.flows_started > 0, "no period was skipped");
+        assert_eq!(s.result(), want);
+    }
+
+    #[test]
     fn malformed_scripts_are_errors() {
         let (p, hosts) = star_platform(2);
         let cfg = ReplayConfig::default();
@@ -2469,11 +2348,14 @@ mod tests {
         let clean = session_after(|_| {});
         let after = session_after(|s| {
             let empty = [ReplayOp::Repeat { count: 2, len: 0 }];
-            assert_eq!(s.push_ops(0, &empty), Err(PushError::EmptyRepeat { op: 0 }));
+            assert_eq!(
+                s.push_ops(0, &empty),
+                Err(ScriptError::EmptyRepeat { rank: 0, op: 0 })
+            );
             let overrun = [ReplayOp::Repeat { count: 2, len: 2 }, compute(1)];
             assert_eq!(
                 s.push_ops(0, &overrun),
-                Err(PushError::RepeatOverrun { op: 0 })
+                Err(ScriptError::RepeatOverrun { rank: 0, op: 0 })
             );
             let stray = [
                 ReplayOp::Repeat { count: 2, len: 1 },
@@ -2485,7 +2367,11 @@ mod tests {
             ];
             assert_eq!(
                 s.push_ops(1, &stray),
-                Err(PushError::UnknownPeer { op: 1, peer: 7 })
+                Err(ScriptError::UnknownPeer {
+                    rank: 1,
+                    op: 1,
+                    peer: 7
+                })
             );
         });
         assert_eq!(after, clean);
@@ -2502,24 +2388,8 @@ mod tests {
             },
         ];
         let cfg = ReplayConfig::default();
-        let body = [
-            compute(2),
-            ReplayOp::SendRecv {
-                to: 1,
-                from: 1,
-                bytes: 5_000,
-                tag: 1,
-            },
-        ];
-        let mirror = [
-            ReplayOp::SendRecv {
-                to: 0,
-                from: 0,
-                bytes: 5_000,
-                tag: 1,
-            },
-            compute(1),
-        ];
+        let body = [&[compute(2)], &exchange(1, 1, 5_000, 1)[..]].concat();
+        let mirror = [&exchange(0, 0, 5_000, 1)[..], &[compute(1)]].concat();
         let mut looped = [Vec::new(), Vec::new()];
         ReplayOp::push_repeat(&mut looped[0], 300, &body);
         ReplayOp::push_repeat(&mut looped[1], 300, &mirror);

@@ -142,11 +142,15 @@ fn bottleneck_replay_checkpoint_bytes_are_pinned() {
                 duration: SimDuration::from_micros(300 + 70 * r as u64),
             }];
             for step in 0..3 {
-                ops.push(ReplayOp::SendRecv {
+                let tag = step as u32;
+                ops.push(ReplayOp::Send {
                     to: (r + 1 + step) % n,
-                    from: (r + n - 1 - step) % n,
                     bytes: 900_000 + 100_000 * r as u64,
-                    tag: step as u32,
+                    tag,
+                });
+                ops.push(ReplayOp::Recv {
+                    from: (r + n - 1 - step) % n,
+                    tag,
                 });
             }
             ProcessScript { rank: r, ops }

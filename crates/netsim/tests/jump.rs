@@ -83,12 +83,17 @@ fn body(shape: Shape, r: usize, n: usize, compute: SimDuration, bytes: u64) -> V
         }
     };
     match shape {
-        Shape::Ring => ops.push(ReplayOp::SendRecv {
-            to: (r + 1) % n,
-            from: (r + n - 1) % n,
-            bytes,
-            tag: 3,
-        }),
+        Shape::Ring => {
+            ops.push(ReplayOp::Send {
+                to: (r + 1) % n,
+                bytes,
+                tag: 3,
+            });
+            ops.push(ReplayOp::Recv {
+                from: (r + n - 1) % n,
+                tag: 3,
+            });
+        }
         Shape::Stencil => halo(&mut ops),
         Shape::Reduction => reduce(&mut ops),
         Shape::StencilReduction => {

@@ -19,9 +19,7 @@ use crate::allocation::{build_allocation, hierarchical_cost, AllocationGraph, CM
 use crate::app::IterativeApp;
 use crate::overlay::{Overlay, OverlayConfig};
 use crate::proximity::GroupCandidate;
-use netsim::{
-    replay, Network, PlacementPolicy, ProcessScript, ReplayConfig, ReplayOp, SharingMode, Topology,
-};
+use netsim::{replay, Network, ProcessScript, ReplayConfig, ReplayOp, SharingMode, Topology};
 use p2p_common::{
     DataSize, HostId, PeerId, PeerResources, ResourceRequirements, SimDuration, TaskId,
 };
@@ -367,23 +365,11 @@ fn result_collection_time(
     slowest_group + submitter_phase
 }
 
-/// Convenience: pick hosts of a topology with a placement policy and run.
-pub fn run_reference_on(
-    app: &dyn IterativeApp,
-    topology: &Topology,
-    nprocs: usize,
-    placement: PlacementPolicy,
-    cfg: &ExecutionConfig,
-) -> RunReport {
-    let hosts = topology.pick_hosts(nprocs, placement);
-    run_reference(app, topology, &hosts, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::app::SyntheticApp;
-    use netsim::{cluster_bordeplage, daisy_xdsl, HostSpec};
+    use netsim::{cluster_bordeplage, daisy_xdsl, HostSpec, PlacementPolicy};
 
     fn app() -> SyntheticApp {
         SyntheticApp {
@@ -455,13 +441,8 @@ mod tests {
             &cluster.hosts,
             &ExecutionConfig::default(),
         );
-        let x = run_reference_on(
-            &app(),
-            &xdsl,
-            4,
-            PlacementPolicy::Spread,
-            &ExecutionConfig::default(),
-        );
+        let hosts = xdsl.pick_hosts(4, PlacementPolicy::Spread);
+        let x = run_reference(&app(), &xdsl, &hosts, &ExecutionConfig::default());
         assert!(
             x.execution_time > c.execution_time * 3u64,
             "xDSL {} vs cluster {}",

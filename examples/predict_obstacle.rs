@@ -11,9 +11,10 @@
 //! simulation on the three platforms of the evaluation.
 
 use dperf::analysis::{analyze, build_dependence_graph, DepKind};
-use dperf::instrument::instrument;
 use dperf::ir::RankContext;
-use dperf::{generate_traces, predict_traces, MachineModel, ModeledBencher, OptLevel};
+use dperf::{
+    generate_traces, predict_traces, InstrumentedProgram, MachineModel, ModeledBencher, OptLevel,
+};
 use netsim::{cluster_bordeplage, daisy_xdsl, lan, HostSpec, PlacementPolicy, SharingMode};
 use obstacle::ObstacleApp;
 use p2psap::IterativeScheme;
@@ -51,7 +52,7 @@ fn main() {
     );
 
     // 3. Instrumentation and unparsing.
-    let instrumented = instrument(&program);
+    let instrumented = InstrumentedProgram::instrument(&program);
     println!(
         "\n== instrumented pseudo-source ({} probes) ==",
         instrumented.probes.len()
