@@ -36,8 +36,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use netsim::{
-    isp_hierarchy, HostSpec, IspHierarchyParams, NetEvent, NetWorldEvent, Network, Scheduler,
-    SharingMode, Topology,
+    isp_hierarchy, HostSpec, IspHierarchyParams, NetEvent, Network, Scheduler, SharingMode,
+    Topology,
 };
 use p2p_common::{DataSize, HostId};
 use p2pdc_bench::telemetry;
@@ -58,12 +58,6 @@ enum Ev {
 impl From<NetEvent> for Ev {
     fn from(e: NetEvent) -> Self {
         Ev::Net(e)
-    }
-}
-impl NetWorldEvent for Ev {
-    fn as_net_event(&self) -> Option<NetEvent> {
-        let Ev::Net(e) = self;
-        Some(*e)
     }
 }
 
@@ -113,7 +107,7 @@ fn run_million(topo: &Topology, pairs: &[(HostId, HostId)]) -> MillionStats {
     let mut measured = false;
     while let Some((_, Ev::Net(ne))) = sched.pop() {
         let done = net.on_event(&mut sched, ne);
-        if !measured && !done.is_empty() {
+        if !measured && done.is_some() {
             // First completion: every flow has activated, the population is
             // at its peak — sample the per-flow footprint here.
             let fp = net.memory_footprint();
@@ -121,7 +115,7 @@ fn run_million(topo: &Topology, pairs: &[(HostId, HostId)]) -> MillionStats {
             stats.live_at_peak = fp.live_flows;
             measured = true;
         }
-        for d in done {
+        if let Some(d) = done {
             delivered += 1;
             if churned < CHURN && d.token < TOTAL_FLOWS as u64 {
                 let p = (d.token as usize) % pairs.len();

@@ -36,10 +36,10 @@
 //! --bench perf_flow_engine`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use netsim::baseline::BaselineNetwork;
+use netsim::baseline::{BaselineEvent, BaselineNetwork};
 use netsim::{
-    daisy_xdsl, dslam_forest, dslam_forest_mirrored, HostSpec, LinkSpec, NetEvent, NetWorldEvent,
-    Network, Platform, PlatformBuilder, Scheduler, SharingMode, Topology,
+    daisy_xdsl, dslam_forest, dslam_forest_mirrored, HostSpec, LinkSpec, NetEvent, Network,
+    Platform, PlatformBuilder, Scheduler, SharingMode, Topology,
 };
 use p2p_common::{Bandwidth, DataSize, HostId, SimDuration};
 
@@ -50,12 +50,6 @@ enum Ev {
 impl From<NetEvent> for Ev {
     fn from(e: NetEvent) -> Self {
         Ev::Net(e)
-    }
-}
-impl NetWorldEvent for Ev {
-    fn as_net_event(&self) -> Option<NetEvent> {
-        let Ev::Net(e) = self;
-        Some(*e)
     }
 }
 
@@ -109,7 +103,7 @@ fn run_incremental(platform: Platform, flows: &[(HostId, HostId, DataSize)]) -> 
     }
     let mut delivered = 0u64;
     while let Some((_, Ev::Net(ne))) = sched.pop() {
-        delivered += net.on_event(&mut sched, ne).len() as u64;
+        delivered += u64::from(net.on_event(&mut sched, ne).is_some());
     }
     assert_eq!(delivered, flows.len() as u64);
     delivered
@@ -133,7 +127,7 @@ fn run_incremental_until(
         let Some((_, Ev::Net(ne))) = sched.pop() else {
             panic!("drained before {stop} deliveries");
         };
-        delivered += net.on_event(&mut sched, ne).len() as u64;
+        delivered += u64::from(net.on_event(&mut sched, ne).is_some());
     }
     assert_eq!(delivered, stop);
     delivered
@@ -142,13 +136,13 @@ fn run_incremental_until(
 /// Run the workload through the retained seed engine; returns delivered count.
 fn run_baseline(platform: Platform, flows: &[(HostId, HostId, DataSize)]) -> u64 {
     let mut net = BaselineNetwork::new(platform, SharingMode::MaxMinFair);
-    let mut sched: Scheduler<Ev> = Scheduler::new();
+    let mut sched: Scheduler<BaselineEvent> = Scheduler::new();
     for (i, &(src, dst, size)) in flows.iter().enumerate() {
         net.start_flow(&mut sched, src, dst, size, i as u64);
     }
     let mut delivered = 0u64;
-    while let Some((_, Ev::Net(ne))) = sched.pop() {
-        delivered += net.on_event(&mut sched, ne).len() as u64;
+    while let Some((_, ev)) = sched.pop() {
+        delivered += net.on_event(&mut sched, ev).len() as u64;
     }
     assert_eq!(delivered, flows.len() as u64);
     delivered

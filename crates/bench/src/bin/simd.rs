@@ -388,6 +388,37 @@ mod tests {
         assert!(build_session(&opts).is_ok());
     }
 
+    /// `quiesce` reports the clock at the last delivery. Both flows share
+    /// host 1's access link, so the first departure speeds up the second
+    /// flow and supersedes its later completion, which must not move the
+    /// clock.
+    #[test]
+    fn quiesce_reports_the_last_delivery_time() {
+        let topo = cluster_bordeplage(4, HostSpec::default());
+        let mut s = StreamSession::new(topo.platform, SharingMode::MaxMinFair);
+        let mut out = Vec::new();
+        for line in [
+            r#"{"cmd":"arrive","src":0,"dst":1,"bytes":1250000,"token":1}"#,
+            r#"{"cmd":"arrive","src":2,"dst":1,"bytes":2500000,"token":2}"#,
+            r#"{"cmd":"quiesce"}"#,
+        ] {
+            assert_eq!(step(&mut s, line, &mut out), Ok(true));
+        }
+        let lines: Vec<Value> = String::from_utf8(out)
+            .unwrap()
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .collect();
+        let last = lines
+            .iter()
+            .filter_map(|v| v.get("completed_at_ns").and_then(Value::as_u64))
+            .max()
+            .unwrap();
+        let ack = lines.last().unwrap();
+        assert_eq!(ack.get("delivered").and_then(Value::as_u64), Some(2));
+        assert_eq!(ack.get("now_ns").and_then(Value::as_u64), Some(last));
+    }
+
     /// Valid lines of every command the property below mutates.
     const VALID: &[&str] = &[
         r#"{"cmd":"arrive","src":0,"dst":3,"bytes":125000,"token":7,"at_ns":4000000}"#,

@@ -21,8 +21,8 @@
 //! and release.
 
 use netsim::{
-    dslam_forest, run_world, HostSpec, NetEvent, NetStats, NetWorldEvent, Network, Scheduler,
-    SharingMode, Topology, World,
+    dslam_forest, run_world, HostSpec, NetEvent, NetStats, Network, Scheduler, SharingMode,
+    Topology, World,
 };
 use p2p_common::{
     DataSize, HostId, IpAddr, PeerId, PeerResources, SimDuration, SimTime, TrackerId,
@@ -139,15 +139,6 @@ impl From<NetEvent> for Ev {
     }
 }
 
-impl NetWorldEvent for Ev {
-    fn as_net_event(&self) -> Option<NetEvent> {
-        match self {
-            Ev::Net(e) => Some(*e),
-            _ => None,
-        }
-    }
-}
-
 struct RobustWorld<'a> {
     cfg: RobustnessConfig,
     net: Network,
@@ -250,7 +241,7 @@ impl World for RobustWorld<'_> {
         (self.before_event)(&mut self.net);
         match event {
             Ev::Net(ne) => {
-                for d in self.net.on_event(sched, ne) {
+                if let Some(d) = self.net.on_event(sched, ne) {
                     self.beat_deliveries += 1;
                     self.hb.record_peer_beat(PeerId::new(d.token), now);
                 }

@@ -5,7 +5,9 @@
 //! incremental refactor: a `HashMap` flow table, per-rebalance `HashMap`
 //! allocations inside the progressive-filling loop, a *global* version
 //! counter that invalidates every scheduled completion on every rebalance,
-//! and an O(F) `progress_all` sweep per event.
+//! and an O(F) `progress_all` sweep per event. It schedules its own
+//! [`BaselineEvent`]s, which carry that version: stale completions stay
+//! queued and are recognised when they fire, as in the seed.
 //!
 //! It exists for two reasons:
 //!
@@ -20,11 +22,28 @@
 
 use crate::event::Scheduler;
 use crate::network::drain_eta;
-use crate::network::{FlowDelivery, NetEvent, NetStats, SharingMode};
+use crate::network::{FlowDelivery, NetStats, SharingMode};
 use crate::platform::{Platform, Route};
 use p2p_common::{DataSize, FlowId, HostId, SimDuration, SimTime};
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// Events the baseline schedules for itself.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BaselineEvent {
+    /// The flow's latency has elapsed; it now competes for bandwidth.
+    FlowActivate {
+        /// The flow in question.
+        flow: FlowId,
+    },
+    /// A flow may have finished draining; stale if `version` is outdated.
+    FlowCompletion {
+        /// The flow in question.
+        flow: FlowId,
+        /// The global rate version this event was scheduled under.
+        version: u64,
+    },
+}
 
 #[derive(Debug, Clone)]
 struct FlowState {
@@ -84,7 +103,7 @@ impl BaselineNetwork {
     /// Start a bulk transfer (seed semantics, including the needless version
     /// bump per Bottleneck flow the satellite fix removed from the real
     /// engine).
-    pub fn start_flow<E: From<NetEvent>>(
+    pub fn start_flow<E: From<BaselineEvent>>(
         &mut self,
         sched: &mut Scheduler<E>,
         src: HostId,
@@ -116,7 +135,7 @@ impl BaselineNetwork {
                 self.version += 1;
                 sched.schedule_in(
                     total,
-                    NetEvent::FlowCompletion {
+                    BaselineEvent::FlowCompletion {
                         flow: id,
                         version: self.version,
                     }
@@ -124,30 +143,30 @@ impl BaselineNetwork {
                 );
             }
             SharingMode::MaxMinFair => {
-                sched.schedule_in(route.latency, NetEvent::FlowActivate { flow: id }.into());
+                sched.schedule_in(
+                    route.latency,
+                    BaselineEvent::FlowActivate { flow: id }.into(),
+                );
             }
         }
         id
     }
 
-    /// Feed a [`NetEvent`] back (seed semantics).
-    pub fn on_event<E: From<NetEvent>>(
+    /// Feed a [`BaselineEvent`] back (seed semantics).
+    pub fn on_event<E: From<BaselineEvent>>(
         &mut self,
         sched: &mut Scheduler<E>,
-        event: NetEvent,
+        event: BaselineEvent,
     ) -> Vec<FlowDelivery> {
         match (self.mode, event) {
-            (SharingMode::Bottleneck, NetEvent::FlowCompletion { flow, .. }) => {
+            (SharingMode::Bottleneck, BaselineEvent::FlowCompletion { flow, .. }) => {
                 match self.flows.remove(&flow) {
                     Some(state) => vec![self.finish_flow(state)],
                     None => vec![],
                 }
             }
-            (SharingMode::Bottleneck, NetEvent::FlowActivate { .. }) => vec![],
-            // The seed engine rebalances inline; it never schedules (nor
-            // reacts to) the incremental engine's batching sentinel.
-            (_, NetEvent::Rebalance) => vec![],
-            (SharingMode::MaxMinFair, NetEvent::FlowActivate { flow }) => {
+            (SharingMode::Bottleneck, BaselineEvent::FlowActivate { .. }) => vec![],
+            (SharingMode::MaxMinFair, BaselineEvent::FlowActivate { flow }) => {
                 let now = sched.now();
                 self.progress_all(now);
                 if let Some(f) = self.flows.get_mut(&flow) {
@@ -157,7 +176,7 @@ impl BaselineNetwork {
                 self.rebalance(sched);
                 vec![]
             }
-            (SharingMode::MaxMinFair, NetEvent::FlowCompletion { flow: _, version }) => {
+            (SharingMode::MaxMinFair, BaselineEvent::FlowCompletion { flow: _, version }) => {
                 if version != self.version {
                     return vec![]; // stale: rates changed since this was scheduled
                 }
@@ -218,7 +237,7 @@ impl BaselineNetwork {
     }
 
     /// Recompute rates from scratch and reschedule *every* active flow.
-    fn rebalance<E: From<NetEvent>>(&mut self, sched: &mut Scheduler<E>) {
+    fn rebalance<E: From<BaselineEvent>>(&mut self, sched: &mut Scheduler<E>) {
         self.version += 1;
         self.compute_max_min_rates();
         let now = sched.now();
@@ -240,7 +259,7 @@ impl BaselineNetwork {
             };
             sched.schedule_at(
                 now + eta,
-                NetEvent::FlowCompletion {
+                BaselineEvent::FlowCompletion {
                     flow: f.id,
                     version: self.version,
                 }

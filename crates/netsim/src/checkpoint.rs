@@ -9,7 +9,7 @@
 //! ```json
 //! {
 //!   "format": "netsim-checkpoint",
-//!   "version": 4,
+//!   "version": 5,
 //!   "network": { ... },
 //!   "scheduler": { ... },
 //!   "world": ...
@@ -33,9 +33,14 @@
 //! or `version` does not match this build ([`FORMAT`], [`VERSION`]) rather
 //! than guessing at field migrations — a checkpoint is a precise bit-level
 //! contract, not a config file.
+//!
+//! [`decode`] also checks that the network and the queue agree on the
+//! pending completions: each pending `FlowCompletion` must name a flow in
+//! flight whose stored completion is that entry's `seq`, and each stored
+//! completion must be such an entry.
 
-use crate::event::Scheduler;
-use crate::network::Network;
+use crate::event::{EventId, Scheduler};
+use crate::network::{NetEvent, Network};
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
 use std::path::Path;
@@ -55,8 +60,12 @@ pub const FORMAT: &str = "netsim-checkpoint";
 /// `engine_config.engine` (one engine remains) and `flush_stats.rebuilds`;
 /// v4 drops `engine_config` (the flush is serial and has no knobs),
 /// `attached_flows` (it only fed the deleted dense-flush decision) and the
-/// pool and dense-flush counters of `flush_stats`.
-pub const VERSION: u64 = 4;
+/// pool and dense-flush counters of `flush_stats`; v5 drops the network's
+/// `compaction` policy and `compactions` counter and the scheduler's `dead`
+/// counter (superseded completions are cancelled, not left queued), and
+/// stores each flow's pending completion as its `seq` (`completion`) in
+/// place of a rate version and a pending flag.
+pub const VERSION: u64 = 5;
 
 /// Why a checkpoint could not be written or read back.
 #[derive(Debug)]
@@ -117,8 +126,15 @@ pub fn encode<E: Serialize>(net: &Network, sched: &Scheduler<E>, world: Value) -
 }
 
 /// Decode an envelope produced by [`encode`], verifying `format` and
-/// `version` before touching any state field.
-pub fn decode<E: Deserialize>(v: &Value) -> Result<Restored<E>, CheckpointError> {
+/// `version` before touching any state field, and the pending completions
+/// against the flows after.
+///
+/// `E` must encode its embedded [`NetEvent`]s as a derived newtype variant
+/// does (or be `NetEvent` itself), so that they can be found in the
+/// queue's encoding.
+pub fn decode<E: Serialize + Deserialize + From<NetEvent>>(
+    v: &Value,
+) -> Result<Restored<E>, CheckpointError> {
     let (network, scheduler, world) = decode_state(v)?;
     Ok(Restored {
         network,
@@ -130,7 +146,7 @@ pub fn decode<E: Deserialize>(v: &Value) -> Result<Restored<E>, CheckpointError>
 /// [`decode`] without the copy of the `world` slot: the slot is returned
 /// borrowed from `v` (`None` when the writer stored none), for embedders
 /// that read their own state straight out of the envelope.
-pub(crate) fn decode_state<E: Deserialize>(
+pub(crate) fn decode_state<E: Serialize + Deserialize + From<NetEvent>>(
     v: &Value,
 ) -> Result<(Network, Scheduler<E>, Option<&Value>), CheckpointError> {
     let fields = v
@@ -150,8 +166,70 @@ pub(crate) fn decode_state<E: Deserialize>(
     }
     let network: Network = serde::field(fields, "network", "checkpoint")?;
     let scheduler: Scheduler<E> = serde::field(fields, "scheduler", "checkpoint")?;
+    let pending = fields
+        .iter()
+        .find(|(k, _)| k == "scheduler")
+        .and_then(|(_, v)| v.as_object())
+        .and_then(|s| s.iter().find(|(k, _)| k == "pending"))
+        .and_then(|(_, v)| v.as_array())
+        .expect("a scheduler that decoded has a `pending` array");
+    check_completions::<E>(&network, pending)?;
     let world = fields.iter().find(|(k, _)| k == "world").map(|(_, v)| v);
     Ok((network, scheduler, world))
+}
+
+/// Check that the queue's pending `FlowCompletion`s (`[time, seq, event]`
+/// triples, already decoded once) and the flows' stored completions name
+/// each other one to one.
+fn check_completions<E: Serialize + From<NetEvent>>(
+    net: &Network,
+    pending: &[Value],
+) -> Result<(), CheckpointError> {
+    let bad = |m: String| Err(CheckpointError::Format(m));
+    // The keys of the single-key objects `E` wraps a `NetEvent` in, read
+    // off a probe's encoding.
+    let mut keys = Vec::new();
+    let mut probe = E::from(NetEvent::Rebalance).to_value();
+    let target = NetEvent::Rebalance.to_value();
+    while probe != target {
+        match probe {
+            Value::Object(mut fields) if fields.len() == 1 => {
+                let (key, inner) = fields.pop().expect("one field");
+                keys.push(key);
+                probe = inner;
+            }
+            _ => return bad("the event type does not encode network events as a newtype".into()),
+        }
+    }
+    let mut found = 0usize;
+    'entries: for entry in pending {
+        let triple = entry.as_array().expect("decoded entries are triples");
+        let seq = triple[1].as_u64().expect("decoded seqs are integers");
+        let mut event = &triple[2];
+        for key in &keys {
+            match event.as_object() {
+                Some([(k, inner)]) if k == key => event = inner,
+                _ => continue 'entries,
+            }
+        }
+        let Ok(NetEvent::FlowCompletion { flow }) = NetEvent::from_value(event) else {
+            continue;
+        };
+        if net.completion_of(flow) != Some(Some(EventId(seq))) {
+            return bad(format!(
+                "pending completion {seq} names flow {flow:?}, which is not in flight with \
+                 that completion scheduled"
+            ));
+        }
+        found += 1;
+    }
+    let scheduled = net.scheduled_completions();
+    if found != scheduled {
+        return bad(format!(
+            "{scheduled} flows have a completion scheduled, but {found} are pending"
+        ));
+    }
+    Ok(())
 }
 
 /// Serialize an envelope to a JSON string (one line, stable field order —
@@ -166,7 +244,9 @@ pub fn to_json<E: Serialize>(
 }
 
 /// Parse and decode a JSON checkpoint produced by [`to_json`].
-pub fn from_json<E: Deserialize>(s: &str) -> Result<Restored<E>, CheckpointError> {
+pub fn from_json<E: Serialize + Deserialize + From<NetEvent>>(
+    s: &str,
+) -> Result<Restored<E>, CheckpointError> {
     let v: Value = serde_json::from_str(s).map_err(|e| CheckpointError::Format(e.to_string()))?;
     decode(&v)
 }
@@ -207,7 +287,9 @@ pub fn save<E: Serialize>(
 }
 
 /// Read a checkpoint file written by [`save`].
-pub fn load<E: Deserialize>(path: &Path) -> Result<Restored<E>, CheckpointError> {
+pub fn load<E: Serialize + Deserialize + From<NetEvent>>(
+    path: &Path,
+) -> Result<Restored<E>, CheckpointError> {
     let s = std::fs::read_to_string(path)?;
     from_json(&s)
 }

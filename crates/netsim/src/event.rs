@@ -31,9 +31,22 @@
 //! Records of one time always share a bucket, and sit there in `seq` order:
 //! a new record carries the largest `seq`, and every move is stable. Pop
 //! order is therefore the pure `(time, seq)` minimum.
+//!
+//! # Cancellation
+//!
+//! [`Scheduler::cancel`] withdraws a pending event by its [`EventId`]. The
+//! record stays in its bucket, its `seq` goes into a set of cancelled ids,
+//! and every reader skips it: a cancelled event never pops, never moves the
+//! clock and never counts as pending or enters a checkpoint. Bucket 0's head
+//! is kept live, so [`Scheduler::peek_time`] needs no mutation. Once
+//! cancelled records outnumber live ones four times over, and there are at
+//! least 64 of them, one sweep filters them out of every bucket; filtering
+//! keeps each bucket's order, so pop order holds.
 
-use p2p_common::{SimDuration, SimTime};
+use p2p_common::{IdHasher, SimDuration, SimTime};
 use serde::{DeError, Deserialize, Serialize, Value};
+use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
 
 /// One bucket per possible top differing bit of two `u64` times, plus the
 /// bucket of records equal to `last`.
@@ -53,6 +66,18 @@ impl Rec {
         (self.time, self.seq)
     }
 }
+
+/// A sweep runs when cancelled records exceed this many times the live ones…
+const SWEEP_RATIO: usize = 4;
+/// …and number at least this many, so that a small queue is not swept for
+/// every cancel.
+const SWEEP_MIN: usize = 64;
+
+/// Handle of a scheduled event, for [`Scheduler::cancel`]. It wraps the
+/// event's scheduling sequence number, which checkpoints and the replay's
+/// periodic shift keep, so a handle stays valid across both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct EventId(pub(crate) u64);
 
 /// The bucket of a record at `time` when the smallest pending time is `last`
 /// (`time >= last`): 0 if equal, else one past the top differing bit.
@@ -83,17 +108,12 @@ pub struct Scheduler<E> {
     now: SimTime,
     seq: u64,
     delivered: u64,
-    /// Pending entries known to be stale (their producer superseded them).
-    /// Maintained by producers through [`Scheduler::mark_dead`] /
-    /// [`Scheduler::resolve_dead`]; makes the queue's live/dead ratio
-    /// observable so callers can decide when to [`Scheduler::compact_pending`]
-    /// (the netsim `Network` does so automatically, driven by its
-    /// `CompactionPolicy`).
-    dead: u64,
-    /// Number of [`Scheduler::compact_pending`] passes run.
+    /// Sweeps run over the buckets.
     compactions: u64,
-    /// Total entries removed by those passes.
+    /// Cancelled records those sweeps removed.
     compacted_entries: u64,
+    /// `seq`s of the cancelled records still in the buckets.
+    cancelled: HashSet<u64, BuildHasherDefault<IdHasher>>,
 
     // --- typed arena: events live here exactly once ---
     slots: Vec<Option<E>>,
@@ -104,9 +124,10 @@ pub struct Scheduler<E> {
     /// `now`: `pop` refills bucket 0 at once.
     last: SimTime,
     buckets: [Vec<Rec>; BUCKETS],
-    /// First record of bucket 0 not yet popped.
+    /// First record of bucket 0 not yet popped. It is live whenever
+    /// `len > 0`.
     head: usize,
-    /// Number of pending records.
+    /// Number of records in the buckets, cancelled ones included.
     len: usize,
 }
 
@@ -123,9 +144,9 @@ impl<E> Scheduler<E> {
             now: SimTime::ZERO,
             seq: 0,
             delivered: 0,
-            dead: 0,
             compactions: 0,
             compacted_entries: 0,
+            cancelled: HashSet::default(),
             slots: Vec::new(),
             free: Vec::new(),
             last: SimTime::ZERO,
@@ -142,7 +163,7 @@ impl<E> Scheduler<E> {
 
     /// Number of events waiting to fire.
     pub fn pending(&self) -> usize {
-        self.len
+        self.len.saturating_sub(self.cancelled.len())
     }
 
     /// Total number of events delivered so far.
@@ -179,7 +200,7 @@ impl<E> Scheduler<E> {
 
     /// Schedule `event` at absolute time `at`. Scheduling in the past is a
     /// logic error and panics (it would silently reorder causality otherwise).
-    pub fn schedule_at(&mut self, at: SimTime, event: E) {
+    pub fn schedule_at(&mut self, at: SimTime, event: E) -> EventId {
         assert!(
             at >= self.now,
             "cannot schedule an event in the past ({} < {})",
@@ -193,11 +214,102 @@ impl<E> Scheduler<E> {
         };
         self.seq += 1;
         self.file(rec);
+        EventId(rec.seq)
     }
 
     /// Schedule `event` after a delay relative to the current time.
-    pub fn schedule_in(&mut self, delay: SimDuration, event: E) {
-        self.schedule_at(self.now + delay, event);
+    pub fn schedule_in(&mut self, delay: SimDuration, event: E) -> EventId {
+        self.schedule_at(self.now + delay, event)
+    }
+
+    /// Withdraw the pending event `id`: it will never pop, move the clock,
+    /// count in [`pending`](Scheduler::pending) or enter a checkpoint.
+    /// `id` must name an event that has not fired; cancelling one twice is
+    /// harmless.
+    ///
+    /// ```
+    /// use netsim::Scheduler;
+    /// use p2p_common::SimTime;
+    ///
+    /// let mut sched: Scheduler<&str> = Scheduler::new();
+    /// let stale = sched.schedule_at(SimTime::from_millis(30), "superseded");
+    /// sched.schedule_at(SimTime::from_millis(20), "current");
+    /// sched.cancel(stale);
+    ///
+    /// assert_eq!(sched.pending(), 1);
+    /// assert_eq!(sched.pop(), Some((SimTime::from_millis(20), "current")));
+    /// assert_eq!(sched.pop(), None);
+    /// assert_eq!(sched.now(), SimTime::from_millis(20));
+    /// ```
+    pub fn cancel(&mut self, id: EventId) {
+        debug_assert!(id.0 < self.seq, "event {} was never scheduled", id.0);
+        if self.cancelled.insert(id.0) {
+            self.settle();
+            self.sweep_if_due();
+        }
+    }
+
+    /// Drop cancelled records from the front of bucket 0, refilling it as
+    /// it runs dry, until its head is live or nothing is left.
+    fn settle(&mut self) {
+        while !self.cancelled.is_empty() {
+            let Some(&rec) = self.buckets[0].get(self.head) else {
+                return;
+            };
+            if !self.cancelled.remove(&rec.seq) {
+                return;
+            }
+            self.head += 1;
+            self.len -= 1;
+            drop(self.release(rec.slot));
+            if self.head == self.buckets[0].len() {
+                self.refill();
+            }
+        }
+    }
+
+    /// Filter every cancelled record out of the buckets. Filtering keeps
+    /// each bucket's order, so the heap stays valid and the survivors pop
+    /// as before. Returns the number removed.
+    fn purge(&mut self) -> usize {
+        if self.cancelled.is_empty() {
+            return 0;
+        }
+        let cancelled = std::mem::take(&mut self.cancelled);
+        let mut buckets = std::mem::replace(&mut self.buckets, std::array::from_fn(|_| Vec::new()));
+        buckets[0].drain(..self.head);
+        self.head = 0;
+        for b in &mut buckets {
+            b.retain(|rec| {
+                let live = !cancelled.contains(&rec.seq);
+                if !live {
+                    drop(self.release(rec.slot));
+                }
+                live
+            });
+        }
+        self.buckets = buckets;
+        // Kept with its capacity: cancels go on at the same rate.
+        self.cancelled = cancelled;
+        self.cancelled.clear();
+        let before = self.len;
+        self.len = self.buckets.iter().map(Vec::len).sum();
+        if self.buckets[0].is_empty() {
+            self.refill();
+        }
+        before - self.len
+    }
+
+    /// Sweep if cancelled records number at least [`SWEEP_MIN`] and exceed
+    /// [`SWEEP_RATIO`] times the live ones. Checked whenever either count
+    /// moves the wrong way (a cancel, a pop), so the bound holds between
+    /// any two calls.
+    fn sweep_if_due(&mut self) {
+        let cancelled = self.cancelled.len();
+        if cancelled >= SWEEP_MIN && cancelled > SWEEP_RATIO * self.pending() {
+            self.compacted_entries += self.purge() as u64;
+            self.compactions += 1;
+        }
     }
 
     /// Add `rec` to the heap. Its `seq` must exceed that of every pending
@@ -252,88 +364,35 @@ impl<E> Scheduler<E> {
 
     /// Every pending record, sorted by `(time, seq)`.
     fn sorted(&self) -> Vec<Rec> {
-        let mut recs = Vec::with_capacity(self.len);
-        recs.extend_from_slice(&self.buckets[0][self.head..]);
+        let live = |rec: &&Rec| !self.cancelled.contains(&rec.seq);
+        let mut recs = Vec::with_capacity(self.pending());
+        recs.extend(self.buckets[0][self.head..].iter().filter(live));
         for b in &self.buckets[1..] {
-            recs.extend_from_slice(b);
+            recs.extend(b.iter().filter(live));
         }
         recs.sort_unstable_by_key(Rec::key);
         recs
     }
 
-    /// Record that one pending entry has become stale (its producer
-    /// superseded it and will ignore it when it fires).
-    pub fn mark_dead(&mut self) {
-        self.dead += 1;
-    }
-
-    /// Record that a previously [`mark_dead`](Scheduler::mark_dead)ed entry
-    /// has been popped and discarded.
-    pub fn resolve_dead(&mut self) {
-        self.dead = self.dead.saturating_sub(1);
-    }
-
-    /// Number of pending entries known to be stale.
-    pub fn dead_pending(&self) -> u64 {
-        self.dead
-    }
-
-    /// Number of pending entries believed live.
-    pub fn live_pending(&self) -> usize {
-        (self.len as u64).saturating_sub(self.dead) as usize
-    }
-
-    /// Drop every pending entry for which `keep` returns false, preserving
-    /// the relative order (time, then scheduling order) of the survivors.
-    /// Returns the number of entries removed.
-    ///
-    /// `keep` is treated as the *liveness oracle* for every pending entry, so
-    /// the pass resynchronises the dead counter with ground truth: survivors
-    /// are live by definition and the counter resets to zero (marks accrued
-    /// after the pass count from there). Subtracting the removed count
-    /// instead — as this used to do — silently corrupted `live_pending`
-    /// whenever the predicate dropped entries that were never
-    /// [`mark_dead`](Scheduler::mark_dead)ed, or kept entries that were.
-    pub fn compact_pending(&mut self, mut keep: impl FnMut(&E) -> bool) -> usize {
-        let mut buckets = std::mem::replace(&mut self.buckets, std::array::from_fn(|_| Vec::new()));
-        buckets[0].drain(..self.head);
-        self.head = 0;
-        let before = self.len;
-        for b in &mut buckets {
-            // Filtering keeps each bucket's order, so the heap stays valid.
-            b.retain(|rec| {
-                let live = keep(self.event(rec));
-                if !live {
-                    drop(self.release(rec.slot));
-                }
-                live
-            });
-        }
-        self.buckets = buckets;
-        self.len = self.buckets.iter().map(Vec::len).sum();
-        if self.buckets[0].is_empty() {
-            self.refill();
-        }
-        let removed = before - self.len;
-        self.dead = 0;
-        self.compactions += 1;
-        self.compacted_entries += removed as u64;
-        removed
-    }
-
-    /// Number of compaction passes run over this queue.
+    /// Number of sweeps that removed cancelled records from the queue.
     pub fn compactions(&self) -> u64 {
         self.compactions
     }
 
-    /// Total entries removed by compaction passes.
+    /// Total cancelled records removed by sweeps.
     pub fn compacted_entries(&self) -> u64 {
         self.compacted_entries
     }
 
+    /// Cancelled records still held by the buckets.
+    #[cfg(test)]
+    pub(crate) fn cancelled_held(&self) -> usize {
+        self.cancelled.len()
+    }
+
     /// Approximate heap footprint of the queue in bytes: arena slots, free
-    /// list and the records held by the buckets. Telemetry for the memory
-    /// gate; not an allocator-exact number.
+    /// list, the records held by the buckets and the cancelled set.
+    /// Telemetry for the memory gate; not an allocator-exact number.
     pub fn footprint_bytes(&self) -> usize {
         use std::mem::size_of;
         self.slots.capacity() * size_of::<Option<E>>()
@@ -343,6 +402,7 @@ impl<E> Scheduler<E> {
                 .iter()
                 .map(|b| b.capacity() * size_of::<Rec>())
                 .sum::<usize>()
+            + self.cancelled.capacity() * size_of::<u64>()
     }
 
     /// Every pending event with its time, in pop order. The replay's
@@ -356,7 +416,9 @@ impl<E> Scheduler<E> {
 
     /// Move the clock and every pending event forward by `by`, keeping
     /// every `seq` and so the pop order. The replay's periodic skip uses it.
+    /// Cancelled records are dropped on the way.
     pub(crate) fn shift(&mut self, by: SimDuration) {
+        self.purge();
         let recs = self.sorted();
         for b in &mut self.buckets {
             b.clear();
@@ -391,6 +453,8 @@ impl<E> Scheduler<E> {
         if self.head == self.buckets[0].len() {
             self.refill();
         }
+        self.settle();
+        self.sweep_if_due();
         debug_assert!(rec.time >= self.now, "event queue went backwards");
         self.now = rec.time;
         self.delivered += 1;
@@ -399,7 +463,8 @@ impl<E> Scheduler<E> {
 }
 
 /// Checkpoint form: the counters plus every pending entry as a
-/// `[time_ns, seq, event]` triple, sorted by `(time, seq)`.
+/// `[time_ns, seq, event]` triple, sorted by `(time, seq)`. Cancelled
+/// records are left out, so the restored queue holds none.
 ///
 /// The bucket layout is deliberately **not** captured: pop order is the pure
 /// `(time, seq)` minimum regardless of where a record sits, so the restore
@@ -407,6 +472,8 @@ impl<E> Scheduler<E> {
 /// Sorting the entries makes the encoded bytes canonical — two schedulers
 /// with the same pending set and counters serialize identically whatever
 /// their histories.
+///
+/// Each `seq` may appear once: it is the entry's [`EventId`].
 ///
 /// Each record's **original** `seq` is preserved (and the `seq` counter
 /// restored), because FIFO order among equal timestamps is part of the
@@ -444,7 +511,6 @@ impl<E: Serialize> Serialize for Scheduler<E> {
             ("now".to_owned(), self.now.as_nanos().to_value()),
             ("seq".to_owned(), self.seq.to_value()),
             ("delivered".to_owned(), self.delivered.to_value()),
-            ("dead".to_owned(), self.dead.to_value()),
             ("compactions".to_owned(), self.compactions.to_value()),
             (
                 "compacted_entries".to_owned(),
@@ -464,7 +530,6 @@ impl<E: Deserialize> Deserialize for Scheduler<E> {
         sched.now = SimTime::from_nanos(serde::field(fields, "now", "Scheduler")?);
         sched.seq = serde::field(fields, "seq", "Scheduler")?;
         sched.delivered = serde::field(fields, "delivered", "Scheduler")?;
-        sched.dead = serde::field(fields, "dead", "Scheduler")?;
         sched.compactions = serde::field(fields, "compactions", "Scheduler")?;
         sched.compacted_entries = serde::field(fields, "compacted_entries", "Scheduler")?;
         let pending = fields
@@ -496,6 +561,14 @@ impl<E: Deserialize> Deserialize for Scheduler<E> {
             }
             let slot = sched.alloc(E::from_value(&triple[2])?);
             records.push(Rec { time, seq, slot });
+        }
+        let mut seqs: Vec<u64> = records.iter().map(|r| r.seq).collect();
+        seqs.sort_unstable();
+        if let Some(w) = seqs.windows(2).find(|w| w[0] == w[1]) {
+            return Err(DeError::msg(format!(
+                "Scheduler.pending: seq {} appears twice",
+                w[0]
+            )));
         }
         // Filing in key order puts the records of one time into their bucket
         // in `seq` order, whatever order the file listed them in.
@@ -746,31 +819,24 @@ mod tests {
     }
 
     #[test]
-    fn compaction_recounts_dead_from_the_predicate() {
-        // A mix of marked and unmarked entries: the predicate (the liveness
-        // oracle) drops two entries that were never marked dead and keeps
-        // everything else. The old subtract-removed accounting would leave
-        // dead == 1 here, deflating live_pending; the recount resets to the
-        // oracle's ground truth.
+    fn cancelled_events_never_pop_move_the_clock_or_count() {
         let mut sched: Scheduler<u32> = Scheduler::new();
-        for i in 0..10u32 {
-            sched.schedule_at(SimTime::from_millis(u64::from(i)), i);
+        let ids: Vec<EventId> = (0..10u32)
+            .map(|i| sched.schedule_at(SimTime::from_millis(u64::from(i)), i))
+            .collect();
+        // The head, a middle entry and the tail.
+        for i in [0, 5, 9] {
+            sched.cancel(ids[i]);
         }
-        for _ in 0..3 {
-            sched.mark_dead(); // producer thinks three entries went stale…
-        }
-        // …but the compaction predicate says entries 8 and 9 are the only
-        // disposable ones.
-        let removed = sched.compact_pending(|&e| e < 8);
-        assert_eq!(removed, 2);
-        assert_eq!(sched.pending(), 8);
-        assert_eq!(sched.dead_pending(), 0, "counter resyncs to the oracle");
-        assert_eq!(sched.live_pending(), 8, "live view no longer skewed");
-        assert_eq!(sched.compactions(), 1);
-        assert_eq!(sched.compacted_entries(), 2);
-        // Survivors keep their relative order.
+        sched.cancel(ids[5]); // twice is harmless
+        assert_eq!(sched.pending(), 7);
+        assert_eq!(sched.peek_time(), Some(SimTime::from_millis(1)));
         let order: Vec<u32> = std::iter::from_fn(|| sched.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, (0..8).collect::<Vec<_>>());
+        assert_eq!(order, [1, 2, 3, 4, 6, 7, 8]);
+        assert_eq!(sched.now(), SimTime::from_millis(8), "the cancelled tail");
+        assert_eq!(sched.delivered(), 7);
+        assert!(sched.is_empty());
+        assert_eq!(sched.cancelled_held(), 0);
     }
 
     #[test]
@@ -778,26 +844,28 @@ mod tests {
         let mut sched: Scheduler<u64> = Scheduler::new();
         // Thousands of near records spread over many buckets, plus a
         // far-future straggler.
-        for i in 0..4_000u64 {
-            sched.schedule_at(SimTime::from_nanos(i * 37), i);
-        }
-        sched.schedule_at(SimTime::from_nanos(u64::MAX / 4), 4_000);
+        let mut ids: Vec<EventId> = (0..4_000u64)
+            .map(|i| sched.schedule_at(SimTime::from_nanos(i * 37), i))
+            .collect();
+        ids.push(sched.schedule_at(SimTime::from_nanos(u64::MAX / 4), 4_000));
         for _ in 0..500 {
             sched.pop();
         }
-        let removed = sched.compact_pending(|&e| e % 3 != 0);
-        assert!(removed > 0);
-        let mut last = None;
-        let mut count = 0usize;
-        while let Some((t, e)) = sched.pop() {
-            assert!(e % 3 != 0);
-            if let Some(prev) = last {
-                assert!(t >= prev, "pop order regressed after compaction");
-            }
-            last = Some(t);
-            count += 1;
+        // Cancel every pending record but each tenth and the straggler:
+        // the sweep rule is crossed at the 2,801st cancel (2,801 > 4 × 700).
+        let cancelled: Vec<u64> = (500..4_000u64).filter(|e| e % 10 != 0).collect();
+        for &e in &cancelled {
+            sched.cancel(ids[e as usize]);
         }
-        assert_eq!(count + removed + 500, 4_001);
+        assert_eq!(sched.compactions(), 1, "one sweep");
+        assert_eq!(sched.compacted_entries(), 2_801);
+        assert_eq!(sched.cancelled_held(), cancelled.len() - 2_801);
+        assert_eq!(sched.pending(), 351);
+        let mut expected: Vec<u64> = (500..4_000).filter(|e| e % 10 == 0).collect();
+        expected.push(4_000);
+        let order: Vec<u64> = std::iter::from_fn(|| sched.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, expected, "survivors pop in their old order");
+        assert_eq!(sched.now(), SimTime::from_nanos(u64::MAX / 4));
     }
 
     #[test]
@@ -812,12 +880,13 @@ mod tests {
         for _ in 0..500 {
             sched.pop();
         }
-        sched.mark_dead();
+        let stale = sched.schedule_at(SimTime::from_nanos(1_000_000), 4_001);
+        sched.cancel(stale);
         let mut restored: Scheduler<u64> = Scheduler::from_value(&sched.to_value()).unwrap();
         assert_eq!(restored.now(), sched.now());
         assert_eq!(restored.pending(), sched.pending());
         assert_eq!(restored.delivered(), sched.delivered());
-        assert_eq!(restored.dead_pending(), sched.dead_pending());
+        assert_eq!(restored.cancelled_held(), 0);
         // Entries scheduled after the restore must interleave identically.
         sched.schedule_in(SimDuration::from_nanos(40_000), 5_000);
         restored.schedule_in(SimDuration::from_nanos(40_000), 5_000);
@@ -833,8 +902,8 @@ mod tests {
     #[test]
     fn serde_encoding_is_canonical_across_histories() {
         // Same pending set reached via different internal histories (one
-        // scheduler only drained, the other was also compacted) must encode
-        // identically.
+        // scheduler only drained, the other also scheduled and cancelled
+        // entries) must encode identically.
         let mut a: Scheduler<u64> = Scheduler::new();
         for i in 0..2_000u64 {
             a.schedule_at(SimTime::from_nanos(1_000_000 + i * 13), i);
@@ -847,12 +916,24 @@ mod tests {
             a.pop();
             b.pop();
         }
-        // Force a different history: run b through a compaction pass.
-        b.compact_pending(|_| true);
+        // Force a different history: b holds cancelled records.
+        for i in 0..100u64 {
+            let id = b.schedule_at(SimTime::from_nanos(2_000_000 + i * 7), 10_000 + i);
+            b.cancel(id);
+        }
+        assert!(b.cancelled_held() > 0);
         let (va, vb) = (a.to_value(), b.to_value());
         let pa = va.as_object().unwrap().iter().find(|(k, _)| k == "pending");
         let pb = vb.as_object().unwrap().iter().find(|(k, _)| k == "pending");
         assert_eq!(pa, pb, "pending encoding must not leak bucket layout");
+        let seq = |v: &Value| {
+            v.as_object()
+                .unwrap()
+                .iter()
+                .find(|(k, _)| k == "seq")
+                .cloned()
+        };
+        assert_ne!(seq(&va), seq(&vb), "the seq counter still moved");
     }
 
     #[test]
@@ -894,6 +975,27 @@ mod tests {
             _ => unreachable!(),
         };
         assert!(Scheduler::<u64>::from_value(&tampered).is_err());
+        // Two entries with one seq would share an `EventId`; refused too.
+        sched.schedule_at(SimTime::from_millis(6), 8);
+        let tampered = match sched.to_value() {
+            Value::Object(fields) => Value::Object(
+                fields
+                    .into_iter()
+                    .map(|(k, v)| match (k.as_str(), v) {
+                        ("pending", Value::Array(mut entries)) => {
+                            if let Value::Array(triple) = &mut entries[1] {
+                                triple[1] = 0u64.to_value();
+                            }
+                            (k, Value::Array(entries))
+                        }
+                        (_, v) => (k, v),
+                    })
+                    .collect(),
+            ),
+            _ => unreachable!(),
+        };
+        let err = Scheduler::<u64>::from_value(&tampered).err().unwrap();
+        assert!(err.to_string().contains("appears twice"), "got: {err}");
     }
 
     #[test]
@@ -907,7 +1009,6 @@ mod tests {
             ("now".to_owned(), 1u64.to_value()),
             ("seq".to_owned(), 10u64.to_value()),
             ("delivered".to_owned(), 0u64.to_value()),
-            ("dead".to_owned(), 0u64.to_value()),
             ("compactions".to_owned(), 0u64.to_value()),
             ("compacted_entries".to_owned(), 0u64.to_value()),
             (

@@ -37,12 +37,12 @@
 //! # Example: two flows over a shared access link
 //!
 //! A world embeds the network's events in its own event type (via
-//! [`NetWorldEvent`]) and feeds them back from its [`World::handle`]:
+//! `From<NetEvent>`) and feeds them back from its [`World::handle`]:
 //!
 //! ```
 //! use netsim::{
-//!     run_world, HostSpec, LinkSpec, NetEvent, NetWorldEvent, Network, PlatformBuilder,
-//!     Scheduler, SharingMode, World,
+//!     run_world, HostSpec, LinkSpec, NetEvent, Network, PlatformBuilder, Scheduler, SharingMode,
+//!     World,
 //! };
 //! use p2p_common::{Bandwidth, DataSize, HostId, SimDuration};
 //!
@@ -53,11 +53,6 @@
 //!         Ev(e)
 //!     }
 //! }
-//! impl NetWorldEvent for Ev {
-//!     fn as_net_event(&self) -> Option<NetEvent> {
-//!         Some(self.0)
-//!     }
-//! }
 //!
 //! struct Sim {
 //!     net: Network,
@@ -66,7 +61,7 @@
 //! impl World for Sim {
 //!     type Event = Ev;
 //!     fn handle(&mut self, sched: &mut Scheduler<Ev>, ev: Ev) {
-//!         self.delivered += self.net.on_event(sched, ev.0).len() as u64;
+//!         self.delivered += u64::from(self.net.on_event(sched, ev.0).is_some());
 //!     }
 //! }
 //!
@@ -106,10 +101,9 @@ pub mod replay;
 pub mod stream;
 pub mod topology;
 
-pub use event::{run_world, Scheduler, World};
+pub use event::{run_world, EventId, Scheduler, World};
 pub use network::{
-    CompactionPolicy, FlowDelivery, FlushStats, MemoryFootprint, NetEvent, NetStats, NetWorldEvent,
-    Network, SharingMode,
+    FlowDelivery, FlushStats, MemoryFootprint, NetEvent, NetStats, Network, SharingMode,
 };
 pub use platform::{HostSpec, Link, LinkSpec, Node, NodeKind, Platform, PlatformBuilder, Route};
 pub use replay::{

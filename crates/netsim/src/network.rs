@@ -47,15 +47,13 @@
 //!   of that instant), and a single flush covers the union of dirty links.
 //!   Zero simulated time elapses inside a batch, so delivery timestamps are
 //!   identical to rebalancing per event.
-//! * **Per-flow versions** — a rebalance bumps the version of (and
-//!   reschedules a completion for) *only* the flows whose rate actually
-//!   changed. Progress (`remaining` bytes) is brought up to date lazily,
+//! * **Per-flow completions** — a rebalance reschedules the completion of
+//!   *only* the flows whose rate actually changed. Each flow keeps the
+//!   [`EventId`] of its pending completion and cancels it
+//!   ([`Scheduler::cancel`]) when it schedules the next, so the queue holds
+//!   no superseded completion: none fires, moves the clock or enters a
+//!   checkpoint. Progress (`remaining` bytes) is brought up to date lazily,
 //!   only when a flow's rate is about to change.
-//! * **Automatic event-heap compaction** — a reschedule that obsoletes a
-//!   pending completion calls [`Scheduler::mark_dead`]; after each
-//!   rebalance the network applies its [`CompactionPolicy`] and drops the
-//!   stale entries itself ([`Network::auto_compactions`] counts the passes,
-//!   [`Network::compact_events`] is the manual escape hatch).
 //! * **Dirty-component flushes** — the max–min fixpoint factors over the
 //!   connected components of the "shares a flow" relation on links. A
 //!   union–find over links with per-component flow lists (the `component`
@@ -86,7 +84,7 @@
 //! before every event.
 
 use crate::component::LinkComponents;
-use crate::event::Scheduler;
+use crate::event::{EventId, Scheduler};
 use crate::fairshare::FairShareQueue;
 use crate::platform::{Platform, Route};
 use p2p_common::{DataSize, FlowId, HostId, SimDuration, SimTime};
@@ -102,8 +100,9 @@ pub enum SharingMode {
     MaxMinFair,
 }
 
-/// Events the network schedules for itself. Embed this in the world's event
-/// type by implementing [`NetWorldEvent`].
+/// Events the network schedules for itself. A world embeds them in its own
+/// event type through `From<NetEvent>` and hands them back to
+/// [`Network::on_event`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum NetEvent {
     /// The flow's latency has elapsed; it now competes for bandwidth.
@@ -111,13 +110,11 @@ pub enum NetEvent {
         /// The flow in question.
         flow: FlowId,
     },
-    /// A flow may have finished draining (stale if `version` is outdated).
+    /// The flow has drained at its current rate. A rate change cancels
+    /// the pending completion and schedules a new one.
     FlowCompletion {
         /// The flow in question.
         flow: FlowId,
-        /// The flow's rate version this event was scheduled under; the event
-        /// is stale if the flow's rate changed since.
-        version: u64,
     },
     /// Run the rate rebalance deferred by the current simulated instant.
     ///
@@ -128,73 +125,6 @@ pub enum NetEvent {
     /// it fires after every event of that instant that was already pending —
     /// coalescing all of them into one batched pass.
     Rebalance,
-}
-
-/// World event types that embed [`NetEvent`]s.
-///
-/// [`Network::on_event`] needs to recover the network's own events from the
-/// world's event alphabet — both to react to them and to recognise, during an
-/// automatic heap compaction, which pending entries are stale. Worlds
-/// therefore implement this trait on their event enum:
-///
-/// ```
-/// use netsim::{NetEvent, NetWorldEvent};
-///
-/// #[derive(Debug, Clone, Copy)]
-/// enum Ev {
-///     Net(NetEvent),
-///     Timer { id: u32 },
-/// }
-///
-/// impl From<NetEvent> for Ev {
-///     fn from(e: NetEvent) -> Self {
-///         Ev::Net(e)
-///     }
-/// }
-/// impl NetWorldEvent for Ev {
-///     fn as_net_event(&self) -> Option<NetEvent> {
-///         match self {
-///             Ev::Net(e) => Some(*e),
-///             Ev::Timer { .. } => None,
-///         }
-///     }
-/// }
-///
-/// assert!(Ev::from(NetEvent::Rebalance).as_net_event().is_some());
-/// assert!(Ev::Timer { id: 0 }.as_net_event().is_none());
-/// ```
-pub trait NetWorldEvent: From<NetEvent> {
-    /// The embedded network event, if this event is one.
-    fn as_net_event(&self) -> Option<NetEvent>;
-}
-
-/// When the network compacts the scheduler's event heap on its own.
-///
-/// Superseded completion events stay on the heap until they fire or are
-/// compacted away; this policy bounds how many may accumulate. After every
-/// rebalance the network compacts as soon as both triggers hold:
-///
-/// * `dead > live × dead_per_live` — the heap is mostly corpses, and
-/// * `dead ≥ min_dead` — it is large enough for a compaction pass to be
-///   worth its O(pending) cost.
-///
-/// The pass preserves the firing order of live events, so it is safe at any
-/// point of a simulation. [`Network::auto_compactions`] counts the passes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CompactionPolicy {
-    /// Dead entries tolerated per live entry before compacting (default 4).
-    pub dead_per_live: u32,
-    /// Minimum number of dead entries before compacting at all (default 64).
-    pub min_dead: u64,
-}
-
-impl Default for CompactionPolicy {
-    fn default() -> Self {
-        CompactionPolicy {
-            dead_per_live: 4,
-            min_dead: 64,
-        }
-    }
 }
 
 /// Telemetry of the engine's flushes, for diagnostics and benchmark
@@ -327,11 +257,8 @@ struct FlowState {
     /// Last instant at which `remaining` was brought up to date.
     last_progress: SimTime,
     active: bool,
-    /// Bumped whenever this flow's rate changes; stale completions are
-    /// recognised by carrying an older version.
-    version: u64,
-    /// Whether a completion event for `version` is pending on the heap.
-    pending_completion: bool,
+    /// The flow's pending completion event, if one is scheduled.
+    completion: Option<EventId>,
     /// Position of this flow in `Network::active` (valid while active).
     active_pos: u32,
     /// For each hop `i` of `route.links`, this flow's position inside
@@ -833,8 +760,6 @@ pub struct Network {
     /// current instant (reset when it fires; sentinels never cross
     /// timestamps, so no time needs to be stored).
     rebalance_pending: bool,
-    compaction: CompactionPolicy,
-    compactions: u64,
     stats: NetStats,
 }
 
@@ -872,28 +797,11 @@ impl Network {
             rec_slots: RecordSlots::default(),
             warm_dirty: Vec::new(),
             rebalance_pending: false,
-            compaction: CompactionPolicy::default(),
-            compactions: 0,
             stats: NetStats {
                 link_bytes: vec![0; link_count],
                 ..NetStats::default()
             },
         }
-    }
-
-    /// The event-heap compaction policy in force.
-    pub fn compaction_policy(&self) -> CompactionPolicy {
-        self.compaction
-    }
-
-    /// Replace the event-heap compaction policy.
-    pub fn set_compaction_policy(&mut self, policy: CompactionPolicy) {
-        self.compaction = policy;
-    }
-
-    /// Number of automatic compaction passes run so far.
-    pub fn auto_compactions(&self) -> u64 {
-        self.compactions
     }
 
     /// Telemetry of the engine's flushes.
@@ -975,6 +883,21 @@ impl Network {
         self.flow(id).map(|f| (f.token, f.size))
     }
 
+    /// The pending completion of flow `id`: `None` if the flow is not in
+    /// flight, `Some(None)` if it has no completion scheduled.
+    pub(crate) fn completion_of(&self, id: FlowId) -> Option<Option<EventId>> {
+        self.flow(id).map(|f| f.completion)
+    }
+
+    /// Number of flows in flight with a completion scheduled.
+    pub(crate) fn scheduled_completions(&self) -> usize {
+        self.slots
+            .iter()
+            .filter_map(|s| s.state.as_ref())
+            .filter(|f| f.completion.is_some())
+            .count()
+    }
+
     /// Resolve a flow id against the slab (generation-checked).
     fn flow(&self, id: FlowId) -> Option<&FlowState> {
         let slot = self.slots.get(id.slot() as usize)?;
@@ -1044,20 +967,20 @@ impl Network {
         };
         let generation = self.slots[slot_idx as usize].generation;
         let id = FlowId::from_parts(slot_idx, generation);
-        let (delay, event) = match self.mode {
-            // No interaction between flows: one event at the analytic time.
-            // The version field is meaningless here (nothing ever
-            // invalidates the event), so it stays at zero.
-            SharingMode::Bottleneck => (
+        let completion = match self.mode {
+            // No interaction between flows: the one event is the completion,
+            // at the analytic time.
+            SharingMode::Bottleneck => schedule_in_range(
+                sched,
                 route.analytic_transfer_time(size),
-                NetEvent::FlowCompletion {
-                    flow: id,
-                    version: 0,
-                },
+                NetEvent::FlowCompletion { flow: id },
             ),
             // The flow starts competing for bandwidth after the route
             // latency (pipe-fill delay).
-            SharingMode::MaxMinFair => (route.latency, NetEvent::FlowActivate { flow: id }),
+            SharingMode::MaxMinFair => {
+                schedule_in_range(sched, route.latency, NetEvent::FlowActivate { flow: id });
+                None
+            }
         };
         self.slots[slot_idx as usize].state = Some(FlowState {
             id,
@@ -1070,30 +993,19 @@ impl Network {
             rate: 0.0,
             last_progress: now,
             active: false,
-            version: 0,
-            pending_completion: false,
+            completion,
             active_pos: 0,
             link_pos: Box::default(),
             comp_epoch: 0,
             new_rate: 0.0,
         });
-        schedule_in_range(sched, delay, event);
         id
     }
 
-    /// Feed a [`NetEvent`] back to the network. Returns the deliveries that
-    /// became final at the current time.
-    pub fn on_event<E: NetWorldEvent>(
-        &mut self,
-        sched: &mut Scheduler<E>,
-        event: NetEvent,
-    ) -> Vec<FlowDelivery> {
-        self.handle_event(sched, event).into_iter().collect()
-    }
-
-    /// [`Network::on_event`] without the `Vec`: one event finishes at most
+    /// Feed a [`NetEvent`] back to the network. Returns the delivery that
+    /// became final at the current time, if any: one event finishes at most
     /// one flow.
-    pub(crate) fn handle_event<E: NetWorldEvent>(
+    pub fn on_event<E: From<NetEvent>>(
         &mut self,
         sched: &mut Scheduler<E>,
         event: NetEvent,
@@ -1109,22 +1021,21 @@ impl Network {
                 // instant (never scheduled in Bottleneck mode).
                 self.rebalance_pending = false;
                 self.rebalance(sched);
-                self.compact_if_due(sched);
                 None
             }
             (SharingMode::MaxMinFair, NetEvent::FlowActivate { flow }) => {
                 self.activate_flow(sched, flow);
                 None
             }
-            (SharingMode::MaxMinFair, NetEvent::FlowCompletion { flow, version }) => {
-                self.complete_flow(sched, flow, version)
+            (SharingMode::MaxMinFair, NetEvent::FlowCompletion { flow }) => {
+                self.complete_flow(sched, flow)
             }
         }
     }
 
     /// React to a change of the active flow set: coalesce into one batched
     /// pass at the current instant.
-    fn request_rebalance<E: NetWorldEvent>(&mut self, sched: &mut Scheduler<E>) {
+    fn request_rebalance<E: From<NetEvent>>(&mut self, sched: &mut Scheduler<E>) {
         if !self.rebalance_pending {
             self.rebalance_pending = true;
             sched.schedule_at(sched.now(), NetEvent::Rebalance.into());
@@ -1142,11 +1053,11 @@ impl Network {
     }
 
     /// Handle a `FlowActivate`: enter the incidence structure and rebalance.
-    fn activate_flow<E: NetWorldEvent>(&mut self, sched: &mut Scheduler<E>, flow: FlowId) {
+    fn activate_flow<E: From<NetEvent>>(&mut self, sched: &mut Scheduler<E>, flow: FlowId) {
         let now = sched.now();
         let slot_idx = flow.slot();
         let active_pos = self.active.len() as u32;
-        let loopback_version = {
+        let loopback = {
             let Some(f) = self.flow_mut(flow) else {
                 return;
             };
@@ -1158,15 +1069,15 @@ impl Network {
                 // holds no link capacity, so it skips the rebalance.
                 f.remaining = 0.0;
                 f.rate = LOOPBACK_RATE;
-                f.pending_completion = true;
-                Some(f.version)
+                true
             } else {
-                None
+                false
             }
         };
         self.active.push(slot_idx);
-        if let Some(version) = loopback_version {
-            sched.schedule_at(now, NetEvent::FlowCompletion { flow, version }.into());
+        if loopback {
+            let id = sched.schedule_at(now, NetEvent::FlowCompletion { flow }.into());
+            self.flow_mut(flow).expect("flow just observed").completion = Some(id);
             return;
         }
         let route = Arc::clone(
@@ -1197,38 +1108,29 @@ impl Network {
         self.request_rebalance(sched);
     }
 
-    /// Handle a `FlowCompletion`: finish the flow if the event is current.
-    fn complete_flow<E: NetWorldEvent>(
+    /// Handle a `FlowCompletion`: finish the flow. The event is the flow's
+    /// current completion, since a superseded one is cancelled.
+    fn complete_flow<E: From<NetEvent>>(
         &mut self,
         sched: &mut Scheduler<E>,
         flow: FlowId,
-        version: u64,
     ) -> Option<FlowDelivery> {
         let now = sched.now();
-        let Some(f) = self.flow_mut(flow) else {
-            // Slot recycled or already finished: a stale entry just drained.
-            sched.resolve_dead();
-            return None;
-        };
-        if f.version != version {
-            sched.resolve_dead();
-            return None;
-        }
-        f.pending_completion = false;
+        let f = self.flow_mut(flow)?;
+        f.completion = None;
         progress_to(f, now);
         if f.remaining > DRAIN_EPSILON {
             // Paranoia against floating-point slack (the ceil in `drain_eta`
             // makes this unreachable in practice): reschedule at the
-            // corrected drain time under the same rate version — unless that
-            // is below the clock's resolution, in which case the flow is
-            // drained for every observable purpose.
+            // corrected drain time at the same rate — unless that is below
+            // the clock's resolution, in which case the flow is drained for
+            // every observable purpose.
             if f.rate <= 0.0 {
                 return None; // starved; a rebalance will reschedule it
             }
             let eta = drain_eta(f.remaining, f.rate);
             if eta > SimDuration::ZERO {
-                f.pending_completion =
-                    schedule_in_range(sched, eta, NetEvent::FlowCompletion { flow, version });
+                f.completion = schedule_in_range(sched, eta, NetEvent::FlowCompletion { flow });
                 return None;
             }
         }
@@ -1329,7 +1231,7 @@ impl Network {
 
     /// Recompute max–min rates for the dirty component(s) and reschedule
     /// completions — but only for the flows whose rate actually changed.
-    fn rebalance<E: NetWorldEvent>(&mut self, sched: &mut Scheduler<E>) {
+    fn rebalance<E: From<NetEvent>>(&mut self, sched: &mut Scheduler<E>) {
         let now = sched.now();
         if !self.recompute_rates_dirty() {
             return; // nothing dirty: no rate can have changed
@@ -1342,9 +1244,9 @@ impl Network {
     }
 
     /// Apply one flow's freshly computed `new_rate`: if it differs from the
-    /// current rate, bring the drain up to date, bump the version and
-    /// reschedule the completion.
-    fn reschedule_if_changed<E: NetWorldEvent>(
+    /// current rate, bring the drain up to date, cancel the pending
+    /// completion and schedule the new one.
+    fn reschedule_if_changed<E: From<NetEvent>>(
         &mut self,
         sched: &mut Scheduler<E>,
         slot_idx: usize,
@@ -1369,11 +1271,8 @@ impl Network {
         // Bring the drain up to date under the old rate, then switch.
         progress_to(f, now);
         f.rate = new;
-        f.version += 1;
-        if f.pending_completion {
-            // The completion scheduled under the old rate is now stale.
-            f.pending_completion = false;
-            sched.mark_dead();
+        if let Some(stale) = f.completion.take() {
+            sched.cancel(stale);
         }
         let eta = if f.remaining <= DRAIN_EPSILON {
             SimDuration::ZERO
@@ -1382,11 +1281,7 @@ impl Network {
         } else {
             drain_eta(f.remaining, new)
         };
-        let event = NetEvent::FlowCompletion {
-            flow: f.id,
-            version: f.version,
-        };
-        f.pending_completion = schedule_in_range(sched, eta, event);
+        f.completion = schedule_in_range(sched, eta, NetEvent::FlowCompletion { flow: f.id });
     }
 
     /// Dirty-component–limited progressive filling: resolve the components
@@ -1661,50 +1556,6 @@ impl Network {
         }
     }
 
-    /// Apply the [`CompactionPolicy`] decision once: compact if — and only
-    /// if — the heap holds at least `min_dead` dead entries *and* dead
-    /// entries strictly outnumber `live × dead_per_live`. Returns whether a
-    /// pass ran.
-    ///
-    /// The network calls this itself after every rebalance; it is public so
-    /// tests (and callers with unusual event loops) can exercise the policy
-    /// boundary directly against an arbitrary heap state.
-    pub fn compact_if_due<E: NetWorldEvent>(&mut self, sched: &mut Scheduler<E>) -> bool {
-        let dead = sched.dead_pending();
-        if dead < self.compaction.min_dead {
-            return false;
-        }
-        let live = sched.live_pending() as u64;
-        if dead > live.saturating_mul(u64::from(self.compaction.dead_per_live)) {
-            self.compact_events(sched);
-            self.compactions += 1;
-            return true;
-        }
-        false
-    }
-
-    /// Drop every stale completion entry from the heap, preserving the
-    /// firing order of the survivors.
-    ///
-    /// The network runs this automatically after rebalances according to its
-    /// [`CompactionPolicy`]; calling it manually is only useful to reclaim
-    /// heap memory at a point the policy would not have chosen (say, right
-    /// before a long quiescent phase of a simulation).
-    pub fn compact_events<E: NetWorldEvent>(&self, sched: &mut Scheduler<E>) -> usize {
-        sched.compact_pending(|event| match event.as_net_event() {
-            // A version match is the live test for completions. (It must not
-            // be tightened with `pending_completion`: Bottleneck-mode flows
-            // schedule their single completion without ever setting that
-            // flag, and their events are always live.)
-            Some(NetEvent::FlowCompletion { flow, version }) => {
-                self.flow(flow).is_some_and(|f| f.version == version)
-            }
-            Some(NetEvent::FlowActivate { flow }) => self.flow(flow).is_some(),
-            Some(NetEvent::Rebalance) => true,
-            None => true,
-        })
-    }
-
     /// Approximate heap bytes held by the engine's persistent state: the
     /// flow slab and every flow's `link_pos` back-pointer slice, the link
     /// incidence lists, the union–find component partition and its dirty
@@ -1801,10 +1652,9 @@ fn flow_to_value(f: &FlowState) -> Value {
         ("rate".to_owned(), f.rate.to_value()),
         ("last_progress".to_owned(), f.last_progress.to_value()),
         ("active".to_owned(), f.active.to_value()),
-        ("version".to_owned(), f.version.to_value()),
         (
-            "pending_completion".to_owned(),
-            f.pending_completion.to_value(),
+            "completion".to_owned(),
+            f.completion.map(|id| id.0).to_value(),
         ),
         ("active_pos".to_owned(), f.active_pos.to_value()),
         ("link_pos".to_owned(), f.link_pos.as_ref().to_value()),
@@ -1860,8 +1710,7 @@ fn flow_from_value(v: &Value, platform: &mut Platform) -> Result<FlowState, DeEr
         rate: serde::field(fields, "rate", "FlowState")?,
         last_progress: serde::field(fields, "last_progress", "FlowState")?,
         active,
-        version: serde::field(fields, "version", "FlowState")?,
-        pending_completion: serde::field(fields, "pending_completion", "FlowState")?,
+        completion: serde::field::<Option<u64>>(fields, "completion", "FlowState")?.map(EventId),
         active_pos: serde::field(fields, "active_pos", "FlowState")?,
         link_pos: link_pos.into_boxed_slice(),
         comp_epoch: 0,
@@ -1918,8 +1767,6 @@ impl Serialize for Network {
             ("warm_records".to_owned(), self.warm_records.to_value()),
             ("warm_arrivals".to_owned(), self.warm_arrivals.to_value()),
             ("flush_stats".to_owned(), self.flush_stats.to_value()),
-            ("compaction".to_owned(), self.compaction.to_value()),
-            ("compactions".to_owned(), self.compactions.to_value()),
             ("stats".to_owned(), self.stats.to_value()),
         ])
     }
@@ -2008,8 +1855,6 @@ impl Deserialize for Network {
         net.warm_records = warm_records;
         net.warm_arrivals = serde::field(fields, "warm_arrivals", "Network")?;
         net.flush_stats = serde::field(fields, "flush_stats", "Network")?;
-        net.compaction = serde::field(fields, "compaction", "Network")?;
-        net.compactions = serde::field(fields, "compactions", "Network")?;
         let stats: NetStats = serde::field(fields, "stats", "Network")?;
         if stats.link_bytes.len() != link_count {
             return Err(DeError::msg(format!(
@@ -2047,19 +1892,14 @@ pub(crate) fn drain_eta(remaining: f64, rate: f64) -> SimDuration {
 /// Schedule `event` at `delay` from now, unless that lies past the largest
 /// representable instant: such an event could never fire, so it is dropped
 /// and its flow stays in flight (like a starved one) instead of overflowing
-/// the clock. Returns whether the event was scheduled.
+/// the clock. Returns the event's id if it was scheduled.
 fn schedule_in_range<E: From<NetEvent>>(
     sched: &mut Scheduler<E>,
     delay: SimDuration,
     event: NetEvent,
-) -> bool {
-    match sched.now().checked_add(delay) {
-        Some(at) => {
-            sched.schedule_at(at, event.into());
-            true
-        }
-        None => false,
-    }
+) -> Option<EventId> {
+    let at = sched.now().checked_add(delay)?;
+    Some(sched.schedule_at(at, event.into()))
 }
 
 /// Advance one flow's `remaining` to `now` at its current rate.
@@ -2100,18 +1940,12 @@ mod tests {
             Ev::Net(e)
         }
     }
-    impl NetWorldEvent for Ev {
-        fn as_net_event(&self) -> Option<NetEvent> {
-            let Ev::Net(e) = self;
-            Some(*e)
-        }
-    }
     impl World for NetWorld {
         type Event = Ev;
         fn handle(&mut self, sched: &mut Scheduler<Ev>, ev: Ev) {
             let Ev::Net(ne) = ev;
             let now = sched.now();
-            for d in self.net.on_event(sched, ne) {
+            if let Some(d) = self.net.on_event(sched, ne) {
                 self.deliveries.push((now, d));
             }
         }
@@ -2331,78 +2165,83 @@ mod tests {
     #[test]
     fn unaffected_flows_keep_their_completion_events() {
         // h0->h1 and h2->h3 are disjoint: starting the second flow must not
-        // invalidate the first one's completion event.
+        // cancel the first one's completion event.
         let mut w = dumbbell(SharingMode::MaxMinFair);
         let mut sched = Scheduler::new();
         let size = DataSize::from_bytes(1_250_000);
-        w.net
+        let first = w
+            .net
             .start_flow(&mut sched, HostId::new(0), HostId::new(1), size, 1);
-        // Drain the activation + first schedule.
-        while sched.pending() > 0 && w.net.stats().flows_completed == 0 {
-            let dead_before = sched.dead_pending();
-            let (_, ev) = sched.pop().unwrap();
-            w.handle(&mut sched, ev);
-            // Activating the disjoint second flow right after the first
-            // rebalance must not mark the first flow's event dead.
-            if w.net.flows_in_flight() == 1 && sched.dead_pending() == dead_before {
-                break;
-            }
-        }
+        // Past the activation and its rebalance: the completion is queued.
+        run_world(&mut w, &mut sched, Some(SimTime::from_millis(1)));
+        let scheduled = w.net.completion_of(first).flatten();
+        assert!(scheduled.is_some());
         w.net
             .start_flow(&mut sched, HostId::new(2), HostId::new(3), size, 2);
-        let dead_before = sched.dead_pending();
+        run_world(&mut w, &mut sched, Some(SimTime::from_millis(2)));
+        assert_eq!(
+            w.net.completion_of(first).flatten(),
+            scheduled,
+            "disjoint flows must not cancel each other's events"
+        );
+        assert_eq!(sched.cancelled_held(), 0);
         run_world(&mut w, &mut sched, None);
         assert_eq!(w.deliveries.len(), 2);
-        assert_eq!(
-            sched.dead_pending(),
-            dead_before,
-            "disjoint flows must not invalidate each other's events"
-        );
     }
 
     /// Start a flow into h0 and process its activation plus the rebalance
     /// it requests (two events), leaving its completion scheduled.
-    fn start_and_activate(w: &mut NetWorld, sched: &mut Scheduler<Ev>, src: u32, token: u64) {
+    fn start_and_activate(
+        w: &mut NetWorld,
+        sched: &mut Scheduler<Ev>,
+        src: u32,
+        token: u64,
+    ) -> FlowId {
         let size = DataSize::from_bytes(12_500_000); // 1 s alone
-        w.net
+        let flow = w
+            .net
             .start_flow(sched, HostId::new(src), HostId::new(0), size, token);
         for _ in 0..2 {
             let (_, ev) = sched.pop().unwrap();
             w.handle(sched, ev);
         }
+        flow
     }
 
     #[test]
-    fn shared_bottleneck_marks_superseded_events_dead_and_compacts() {
+    fn shared_bottleneck_cancels_the_superseded_completion() {
         // The second flow activates after the first one's rebalance, so its
         // own rebalance halves the first flow's rate and supersedes that
-        // flow's completion event — the mark-dead/compact machinery this
-        // test exercises.
+        // flow's completion event, which is cancelled on the spot.
         let mut w = dumbbell(SharingMode::MaxMinFair);
         let mut sched = Scheduler::new();
-        start_and_activate(&mut w, &mut sched, 1, 1);
-        assert_eq!(sched.dead_pending(), 0);
+        let first = start_and_activate(&mut w, &mut sched, 1, 1);
+        let superseded = w.net.completion_of(first).flatten().unwrap();
         start_and_activate(&mut w, &mut sched, 2, 2);
-        assert_eq!(sched.dead_pending(), 1, "one superseded completion");
-        assert_eq!(sched.live_pending(), 2, "one live completion per flow");
-        let removed = w.net.compact_events(&mut sched);
-        assert_eq!(removed, 1);
-        assert_eq!(sched.dead_pending(), 0);
-        assert_eq!(sched.pending(), 2);
-        run_world(&mut w, &mut sched, None);
+        let current = w.net.completion_of(first).flatten().unwrap();
+        assert_ne!(current, superseded);
+        assert_eq!(sched.pending(), 2, "one live completion per flow");
+        // It was the queue's head, so it left the queue at once.
+        assert_eq!(sched.cancelled_held(), 0);
+        let end = run_world(&mut w, &mut sched, None);
+        assert_eq!(w.deliveries.len(), 2);
         assert_eq!(
-            w.deliveries.len(),
-            2,
-            "compaction must not lose live events"
+            sched.delivered(),
+            8,
+            "two activations, rebalances and completions"
         );
+        let last = w.deliveries.iter().map(|&(t, _)| t).max().unwrap();
+        assert_eq!(end, last, "the superseded completion never fires");
+        assert_eq!(sched.now(), last);
+        assert_eq!(sched.cancelled_held(), 0);
     }
 
     #[test]
     fn batched_engine_coalesces_same_timestamp_activations() {
         // Both activations land at the same instant (equal route latencies)
         // and fold into one rebalance, so no completion is ever superseded —
-        // where staggered activations mark one dead (see
-        // `shared_bottleneck_marks_superseded_events_dead_and_compacts`).
+        // where staggered activations cancel one (see
+        // `shared_bottleneck_cancels_the_superseded_completion`).
         let mut w = dumbbell(SharingMode::MaxMinFair);
         let mut sched = Scheduler::new();
         let size = DataSize::from_bytes(1_250_000);
@@ -2416,8 +2255,8 @@ mod tests {
             let (_, ev) = sched.pop().unwrap();
             w.handle(&mut sched, ev);
         }
-        assert_eq!(sched.dead_pending(), 0, "one batch, nothing superseded");
-        assert_eq!(sched.live_pending(), 2, "one live completion per flow");
+        assert_eq!(sched.cancelled_held(), 0, "one batch, nothing superseded");
+        assert_eq!(sched.pending(), 2, "one live completion per flow");
         run_world(&mut w, &mut sched, None);
         assert_eq!(w.deliveries.len(), 2);
     }
@@ -2449,50 +2288,97 @@ mod tests {
 
     #[test]
     fn compaction_keeps_live_bottleneck_completions() {
-        // Bottleneck-mode flows schedule their single completion without
-        // using the pending/version machinery; a manual compaction pass must
-        // treat those events as live (regression: an over-tight predicate
-        // once dropped them, losing the deliveries).
+        // Bottleneck-mode flows schedule their single completion once and
+        // never cancel it; a sweep of other cancelled entries must keep it
+        // and the flow's stored id.
         let mut w = dumbbell(SharingMode::Bottleneck);
         let mut sched = Scheduler::new();
         let size = DataSize::from_bytes(1_250_000);
-        for i in 0..4 {
-            w.net.start_flow(
-                &mut sched,
-                HostId::new(i % 4),
-                HostId::new((i + 1) % 4),
-                size,
-                u64::from(i),
-            );
+        let flows: Vec<FlowId> = (0..4)
+            .map(|i| {
+                w.net.start_flow(
+                    &mut sched,
+                    HostId::new(i % 4),
+                    HostId::new((i + 1) % 4),
+                    size,
+                    u64::from(i),
+                )
+            })
+            .collect();
+        for i in 0..64 {
+            let at = SimTime::from_secs(1 + i);
+            let id = sched.schedule_at(at, NetEvent::Rebalance.into());
+            sched.cancel(id);
         }
-        assert_eq!(w.net.compact_events(&mut sched), 0, "all events are live");
+        assert_eq!(sched.compactions(), 1, "64 > 4 × 4 cancelled: one sweep");
+        assert_eq!(sched.compacted_entries(), 64);
         assert_eq!(sched.pending(), 4);
+        assert!(flows
+            .iter()
+            .all(|&f| w.net.completion_of(f).flatten().is_some()));
         run_world(&mut w, &mut sched, None);
         assert_eq!(w.deliveries.len(), 4);
     }
 
+    /// The star churn workload of `tests/batching.rs`: 400 flows between
+    /// index-derived pairs of a 32-host star, all started at t = 0.
+    fn star_churn() -> (NetWorld, Scheduler<Ev>) {
+        let hosts = 32usize;
+        let mut b = PlatformBuilder::new();
+        let sw = b.add_router("sw");
+        let spec = LinkSpec::new(Bandwidth::from_mbps(100.0), SimDuration::from_micros(100));
+        for i in 0..hosts {
+            let h = b.add_host(
+                format!("h{i}"),
+                format!("10.0.0.{}", i + 1).parse().unwrap(),
+                HostSpec::default(),
+            );
+            b.add_host_link(format!("l{i}"), h, sw, spec);
+        }
+        let mut w = NetWorld {
+            net: Network::new(b.build(), SharingMode::MaxMinFair),
+            deliveries: vec![],
+        };
+        let mut sched = Scheduler::new();
+        for i in 0..400usize {
+            let src = (i * 5 + 1) % hosts;
+            let dst = (i * 11 + hosts / 2) % hosts;
+            let dst = if dst == src { (dst + 1) % hosts } else { dst };
+            let size = DataSize::from_bytes(50_000 + (i as u64 * 17_977) % 450_000);
+            w.net.start_flow(
+                &mut sched,
+                HostId::new(src as u32),
+                HostId::new(dst as u32),
+                size,
+                i as u64,
+            );
+        }
+        (w, sched)
+    }
+
     #[test]
     fn auto_compaction_fires_once_the_policy_threshold_is_crossed() {
-        // Staggered arrivals on one shared link supersede the earlier flow's
-        // completion; with a tiny policy threshold the network must compact
-        // on its own.
-        let mut w = dumbbell(SharingMode::MaxMinFair);
-        w.net.set_compaction_policy(CompactionPolicy {
-            dead_per_live: 0,
-            min_dead: 1,
-        });
-        let mut sched = Scheduler::new();
-        start_and_activate(&mut w, &mut sched, 1, 1);
-        start_and_activate(&mut w, &mut sched, 2, 2);
-        run_world(&mut w, &mut sched, None);
-        assert_eq!(w.deliveries.len(), 2);
-        assert!(
-            w.net.auto_compactions() > 0,
-            "dead_per_live = 0 and min_dead = 1 must force a compaction"
-        );
-        assert_eq!(sched.dead_pending(), 0, "the run ends with a clean heap");
-        assert!(sched.compacted_entries() >= w.net.auto_compactions());
-        assert_eq!(sched.compactions(), w.net.auto_compactions());
+        // Cascading completions on the churn workload cancel completions
+        // faster than they drain; the scheduler must sweep on its own, and
+        // never hold more than max(64, 4 × live) cancelled entries after
+        // an event.
+        let (mut w, mut sched) = star_churn();
+        let mut most = 0;
+        while let Some((_, ev)) = sched.pop() {
+            w.handle(&mut sched, ev);
+            let cancelled = sched.cancelled_held();
+            most = most.max(cancelled);
+            assert!(
+                cancelled <= 64.max(4 * sched.pending()),
+                "{cancelled} cancelled against {} live",
+                sched.pending()
+            );
+        }
+        assert_eq!(w.deliveries.len(), 400);
+        assert!(sched.compactions() > 0, "the churn must cross the rule");
+        assert!(sched.compacted_entries() >= 64 * sched.compactions());
+        assert!(most >= 64);
+        assert_eq!(sched.cancelled_held(), 0, "the run ends with a clean queue");
     }
 
     #[test]

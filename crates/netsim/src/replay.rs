@@ -45,7 +45,7 @@
 
 use crate::checkpoint::{self, CheckpointError};
 use crate::event::{Scheduler, World};
-use crate::network::{FlowDelivery, NetEvent, NetStats, NetWorldEvent, Network, SharingMode};
+use crate::network::{FlowDelivery, NetEvent, NetStats, Network, SharingMode};
 use crate::platform::Platform;
 use p2p_common::{DataSize, HostId, IdMap, SimDuration, SimTime};
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -348,15 +348,6 @@ impl From<NetEvent> for Ev {
     }
 }
 
-impl NetWorldEvent for Ev {
-    fn as_net_event(&self) -> Option<NetEvent> {
-        match self {
-            Ev::Net(e) => Some(*e),
-            Ev::Resume { .. } => None,
-        }
-    }
-}
-
 /// A message in flight, without the ids that name it: its ranks, its tag
 /// and its size on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -577,7 +568,7 @@ impl ReplayWorld {
             .map(|(t, ev)| {
                 let effect = match *ev {
                     Ev::Resume { rank } => Pending::Resume(rank),
-                    Ev::Net(NetEvent::FlowCompletion { flow, .. }) => {
+                    Ev::Net(NetEvent::FlowCompletion { flow }) => {
                         let (token, size) = self.net.flow_token(flow)?;
                         let &(src, dst, tag) = self.token_info.get(&token)?;
                         Pending::Deliver(Msg {
@@ -814,7 +805,7 @@ impl World for ReplayWorld {
                 self.advance(sched, rank);
             }
             Ev::Net(ne) => {
-                if let Some(d) = self.net.handle_event(sched, ne) {
+                if let Some(d) = self.net.on_event(sched, ne) {
                     self.deliver(sched, d);
                 }
             }

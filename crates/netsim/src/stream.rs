@@ -39,7 +39,7 @@
 
 use crate::checkpoint::{self, CheckpointError};
 use crate::event::Scheduler;
-use crate::network::{FlowDelivery, NetEvent, NetWorldEvent, Network, SharingMode};
+use crate::network::{FlowDelivery, NetEvent, Network, SharingMode};
 use crate::platform::Platform;
 use p2p_common::{DataSize, HostId, SimTime};
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -54,7 +54,7 @@ use std::path::Path;
 /// it like any other pending event.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum StreamEvent {
-    /// A network-internal event (completion, rebalance, compaction...).
+    /// A network-internal event (activation, completion, rebalance).
     Net(NetEvent),
     /// A flow arrival scheduled via [`StreamSession::inject`].
     Arrive {
@@ -72,15 +72,6 @@ pub enum StreamEvent {
 impl From<NetEvent> for StreamEvent {
     fn from(e: NetEvent) -> Self {
         StreamEvent::Net(e)
-    }
-}
-
-impl NetWorldEvent for StreamEvent {
-    fn as_net_event(&self) -> Option<NetEvent> {
-        match self {
-            StreamEvent::Net(e) => Some(*e),
-            StreamEvent::Arrive { .. } => None,
-        }
     }
 }
 
@@ -183,7 +174,7 @@ impl StreamSession {
                 }
             }
             let (_, ev) = self.sched.pop().expect("peeked event must exist");
-            let deliveries = match ev {
+            let delivery = match ev {
                 StreamEvent::Net(ne) => self.net.on_event(&mut self.sched, ne),
                 StreamEvent::Arrive {
                     src,
@@ -192,11 +183,11 @@ impl StreamSession {
                     token,
                 } => {
                     self.net.start_flow(&mut self.sched, src, dst, size, token);
-                    Vec::new()
+                    None
                 }
             };
             let at = self.sched.now();
-            for d in deliveries {
+            if let Some(d) = delivery {
                 out.push(DeliveryRecord {
                     token: d.token,
                     src: d.src,
@@ -396,7 +387,7 @@ mod tests {
         while let Some((_, ev)) = sched.pop() {
             match ev {
                 StreamEvent::Net(ne) => {
-                    for d in net.on_event(&mut sched, ne) {
+                    if let Some(d) = net.on_event(&mut sched, ne) {
                         reference.push((d.token, sched.now()));
                     }
                 }
@@ -456,6 +447,52 @@ mod tests {
         let tail_r = restored.quiesce();
         let tail_b = b.quiesce();
         assert_eq!(tail_r, tail_b);
+    }
+
+    /// Two flows into h0 of a 100 Mbps star, activating together: the
+    /// first departure doubles the second flow's rate and supersedes its
+    /// completion at 400.2 ms with one at 300.2 ms. Draining the session
+    /// must leave the clock at the last delivery, not at the superseded
+    /// completion.
+    #[test]
+    fn quiesce_stops_the_clock_at_the_last_delivery() {
+        use crate::platform::{LinkSpec, PlatformBuilder};
+        use p2p_common::{Bandwidth, SimDuration};
+        let mut b = PlatformBuilder::new();
+        let sw = b.add_router("sw");
+        let spec = LinkSpec::new(Bandwidth::from_mbps(100.0), SimDuration::from_micros(100));
+        let hosts: Vec<HostId> = (0..3)
+            .map(|i| {
+                let h = b.add_host(
+                    format!("h{i}"),
+                    format!("10.0.0.{}", i + 1).parse().unwrap(),
+                    HostSpec::default(),
+                );
+                b.add_host_link(format!("l{i}"), h, sw, spec);
+                h
+            })
+            .collect();
+        let mut s = StreamSession::new(b.build(), SharingMode::MaxMinFair);
+        for (token, bytes) in [(1, 1_250_000), (2, 2_500_000)] {
+            let src = hosts[token as usize];
+            s.inject(
+                SimTime::ZERO,
+                src,
+                hosts[0],
+                DataSize::from_bytes(bytes),
+                token,
+            )
+            .unwrap();
+        }
+        let done = s.quiesce();
+        assert_eq!(done.len(), 2);
+        let last = done.iter().map(|d| d.completed_at).max().unwrap();
+        assert_eq!(last, SimTime::from_micros(300_200));
+        assert_eq!(s.now(), last);
+        assert_eq!(s.pending(), 0);
+        let later = last + SimDuration::from_millis(1);
+        s.inject(later, hosts[1], hosts[0], DataSize::from_bytes(1), 3)
+            .unwrap();
     }
 
     #[test]

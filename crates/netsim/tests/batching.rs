@@ -1,29 +1,25 @@
-//! Regression tests of batched same-timestamp rebalances and the automatic
-//! event-heap compaction policy, pinned on a deterministic high-churn
-//! workload (no property-testing randomness — the workload is closed-form,
-//! so a failure here bisects cleanly).
+//! Regression tests of batched same-timestamp rebalances and of the
+//! scheduler's cancellation of superseded completions, pinned on a
+//! deterministic high-churn workload (no property-testing randomness — the
+//! workload is closed-form, so a failure here bisects cleanly).
 
-use netsim::event::{run_world, Scheduler, World};
-use netsim::network::{
-    CompactionPolicy, FlowDelivery, NetEvent, NetWorldEvent, Network, SharingMode,
-};
+use netsim::checkpoint;
+use netsim::event::{run_world, EventId, Scheduler, World};
+use netsim::network::{FlowDelivery, NetEvent, Network, SharingMode};
 use netsim::platform::{HostSpec, LinkSpec, Platform, PlatformBuilder};
-use p2p_common::{Bandwidth, DataSize, FlowId, HostId, SimDuration, SimTime};
+use p2p_common::{Bandwidth, DataSize, HostId, SimDuration, SimTime};
+use serde::{Deserialize, Serialize, Value};
 use std::collections::BTreeMap;
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 enum Ev {
     Net(NetEvent),
+    /// A world event the network never sees.
+    Tick(u32),
 }
 impl From<NetEvent> for Ev {
     fn from(e: NetEvent) -> Self {
         Ev::Net(e)
-    }
-}
-impl NetWorldEvent for Ev {
-    fn as_net_event(&self) -> Option<NetEvent> {
-        let Ev::Net(e) = self;
-        Some(*e)
     }
 }
 
@@ -32,16 +28,21 @@ struct NetWorld {
     deliveries: Vec<(SimTime, FlowDelivery)>,
     /// Invalidate the fill records before every event (every flush cold).
     cold: bool,
+    /// Every event handled, in order.
+    log: Vec<(SimTime, Ev)>,
 }
 impl World for NetWorld {
     type Event = Ev;
     fn handle(&mut self, sched: &mut Scheduler<Ev>, ev: Ev) {
-        let Ev::Net(ne) = ev;
+        let now = sched.now();
+        self.log.push((now, ev));
+        let Ev::Net(ne) = ev else {
+            return;
+        };
         if self.cold {
             self.net.invalidate_fill_records();
         }
-        let now = sched.now();
-        for d in self.net.on_event(sched, ne) {
+        if let Some(d) = self.net.on_event(sched, ne) {
             self.deliveries.push((now, d));
         }
     }
@@ -64,6 +65,15 @@ fn star(n: usize) -> Platform {
     b.build()
 }
 
+fn world(hosts: usize, cold: bool) -> NetWorld {
+    NetWorld {
+        net: Network::new(star(hosts), SharingMode::MaxMinFair),
+        deliveries: vec![],
+        cold,
+        log: vec![],
+    }
+}
+
 /// Deterministic high-churn workload: `flows` transfers between index-derived
 /// host pairs with staggered sizes, all started at t = 0, every one crossing
 /// the shared star core. Arrivals all activate at the same instant (equal
@@ -84,20 +94,19 @@ fn churn_workload(hosts: usize, flows: usize) -> Vec<(HostId, HostId, DataSize, 
         .collect()
 }
 
-fn run(cold: bool, policy: Option<CompactionPolicy>) -> (NetWorld, Scheduler<Ev>) {
+/// The churn workload started but not run.
+fn start(cold: bool) -> (NetWorld, Scheduler<Ev>) {
     let hosts = 32;
-    let mut world = NetWorld {
-        net: Network::new(star(hosts), SharingMode::MaxMinFair),
-        deliveries: vec![],
-        cold,
-    };
-    if let Some(p) = policy {
-        world.net.set_compaction_policy(p);
-    }
+    let mut world = world(hosts, cold);
     let mut sched: Scheduler<Ev> = Scheduler::new();
     for &(src, dst, size, token) in &churn_workload(hosts, 400) {
         world.net.start_flow(&mut sched, src, dst, size, token);
     }
+    (world, sched)
+}
+
+fn run(cold: bool) -> (NetWorld, Scheduler<Ev>) {
+    let (mut world, mut sched) = start(cold);
     run_world(&mut world, &mut sched, None);
     (world, sched)
 }
@@ -116,9 +125,9 @@ fn by_token(deliveries: &[(SimTime, FlowDelivery)]) -> BTreeMap<u64, u64> {
 /// cold.
 #[test]
 fn warm_flushes_match_cold_ones_on_star_churn() {
-    let (warm, _) = run(false, None);
+    let (warm, _) = run(false);
     assert!(warm.net.flush_stats().warm_starts > 0);
-    let (cold, _) = run(true, None);
+    let (cold, _) = run(true);
     assert_eq!(warm.deliveries.len(), 400);
     assert_eq!(
         by_token(&warm.deliveries),
@@ -133,7 +142,7 @@ fn warm_flushes_match_cold_ones_on_star_churn() {
 /// and departures.
 #[test]
 fn batching_coalesces_same_instant_rebalances() {
-    let (world, _) = run(false, None);
+    let (world, _) = run(false);
     let flushes = world.net.flush_stats().flushes;
     assert!(
         flushes < 2 * 400,
@@ -141,198 +150,162 @@ fn batching_coalesces_same_instant_rebalances() {
     );
 }
 
-/// The automatic compaction policy fires on the high-churn workload and
-/// brings the dead/live ratio back under its threshold each time.
+/// Superseded completions leave no trace: on the churn workload only a
+/// flow's current completion ever pops (so each one finishes its flow),
+/// and a checkpoint taken between events lists exactly the pending events
+/// and decodes, which it does only if its completions and the flows'
+/// stored ones name each other.
 #[test]
-fn auto_compaction_triggers_and_restores_the_ratio() {
-    let policy = CompactionPolicy {
-        dead_per_live: 1,
-        min_dead: 16,
-    };
-    let (world, sched) = run(false, Some(policy));
-    assert_eq!(world.deliveries.len(), 400);
-    assert!(
-        world.net.auto_compactions() > 0,
-        "the cascading completions of 400 churning flows must cross dead/live > 1"
-    );
-    assert_eq!(
-        sched.compactions(),
-        world.net.auto_compactions(),
-        "every compaction of this run was policy-driven"
-    );
-    assert!(
-        sched.compacted_entries() >= 16 * world.net.auto_compactions(),
-        "each pass reclaims at least min_dead entries"
-    );
-    assert_eq!(sched.dead_pending(), 0, "the drained heap ends clean");
-}
-
-/// White-box check of the policy threshold itself: with compaction disabled,
-/// run the same workload and replay the policy decision at every step —
-/// whenever the network *would* have compacted, verify a manual
-/// `compact_events` drops the dead count to zero (dead/live falls from
-/// above the threshold to 0 ≤ threshold after the pass).
-#[test]
-fn compaction_pass_drops_dead_below_the_threshold() {
-    let hosts = 32;
-    let policy = CompactionPolicy {
-        dead_per_live: 1,
-        min_dead: 16,
-    };
-    let mut world = NetWorld {
-        net: Network::new(star(hosts), SharingMode::MaxMinFair),
-        deliveries: vec![],
-        cold: false,
-    };
-    // Never auto-compact: this test drives the pass by hand.
-    world.net.set_compaction_policy(CompactionPolicy {
-        dead_per_live: u32::MAX,
-        min_dead: u64::MAX,
-    });
-    let mut sched: Scheduler<Ev> = Scheduler::new();
-    for &(src, dst, size, token) in &churn_workload(hosts, 400) {
-        world.net.start_flow(&mut sched, src, dst, size, token);
-    }
-    let mut exercised = 0u32;
+fn cancelled_completions_never_pop_count_or_enter_a_checkpoint() {
+    let (mut world, mut sched) = start(false);
+    let mut checked = 0;
     while let Some((_, ev)) = sched.pop() {
         world.handle(&mut sched, ev);
-        let dead = sched.dead_pending();
-        let live = sched.live_pending() as u64;
-        if dead >= policy.min_dead && dead > live * u64::from(policy.dead_per_live) {
-            let removed = world.net.compact_events(&mut sched);
-            assert_eq!(removed as u64, dead, "exactly the stale entries go");
-            assert_eq!(sched.dead_pending(), 0, "dead/live drops below threshold");
-            assert_eq!(sched.live_pending(), live as usize, "live entries survive");
-            exercised += 1;
+        if world.log.len() % 7 != 0 {
+            continue;
         }
+        let v = checkpoint::encode(&world.net, &sched, Value::Null);
+        let field = |v: &Value, key: &str| {
+            let fields = v.as_object().unwrap();
+            fields.iter().find(|(k, _)| k == key).unwrap().1.clone()
+        };
+        let listed = field(&field(&v, "scheduler"), "pending");
+        assert_eq!(listed.as_array().unwrap().len(), sched.pending());
+        let restored = checkpoint::decode::<Ev>(&v).expect("completions match the flows");
+        assert_eq!(restored.scheduler.pending(), sched.pending());
+        checked += 1;
     }
-    assert!(exercised > 0, "the workload must cross the threshold");
-    assert_eq!(world.deliveries.len(), 400, "compaction loses nothing");
+    assert!(checked > 100);
+    assert_eq!(world.deliveries.len(), 400);
+    let completions = world
+        .log
+        .iter()
+        .filter(|(_, ev)| matches!(ev, Ev::Net(NetEvent::FlowCompletion { .. })))
+        .count();
+    assert_eq!(completions, 400, "each popped completion finished its flow");
+    assert!(
+        sched.compacted_entries() > 0,
+        "the churn superseded completions, and sweeps removed them"
+    );
+    assert_eq!(sched.delivered(), world.log.len() as u64);
 }
 
-/// Schedule `n` events the compaction predicate always keeps (the batching
-/// sentinel) — synthetic "live" heap entries for policy boundary tests.
-fn schedule_live(sched: &mut Scheduler<Ev>, n: usize) {
-    for _ in 0..n {
-        sched.schedule_at(SimTime::from_secs(1), Ev::Net(NetEvent::Rebalance));
+/// Schedule `live` ticks at 1 s and `doomed` ticks at 2 s, returning the
+/// ids of the doomed ones. Nothing doomed sits at the queue's head, so
+/// cancelling it leaves it in the queue until a sweep.
+fn ticks(sched: &mut Scheduler<Ev>, live: u32, doomed: u32) -> Vec<EventId> {
+    for i in 0..live {
+        sched.schedule_at(SimTime::from_secs(1), Ev::Tick(i));
     }
+    (0..doomed)
+        .map(|i| sched.schedule_at(SimTime::from_secs(2), Ev::Tick(live + i)))
+        .collect()
 }
 
-/// Schedule `n` completion events for flows that never existed and mark each
-/// dead — synthetic "dead" heap entries the predicate will drop.
-fn schedule_dead(sched: &mut Scheduler<Ev>, n: usize) {
-    for i in 0..n {
-        sched.schedule_at(
-            SimTime::from_secs(2),
-            Ev::Net(NetEvent::FlowCompletion {
-                flow: FlowId::from_parts(40_000 + i as u32, 7),
-                version: 0,
-            }),
-        );
-        sched.mark_dead();
-    }
-}
-
-/// Boundary case: the ratio trigger is *strict*. With `dead_per_live = 2`,
-/// a heap holding exactly dead == live·2 must not compact; one more dead
-/// entry must.
+/// Boundary case: the ratio trigger is *strict*. A queue holding exactly
+/// four cancelled entries per live one is not swept; one more cancel (which
+/// also removes a live entry) sweeps it.
 #[test]
 fn compaction_ratio_boundary_is_strict() {
-    let mut net = Network::new(star(4), SharingMode::MaxMinFair);
-    net.set_compaction_policy(CompactionPolicy {
-        dead_per_live: 2,
-        min_dead: 1,
-    });
     let mut sched: Scheduler<Ev> = Scheduler::new();
-    schedule_live(&mut sched, 4);
-    schedule_dead(&mut sched, 8);
-    assert_eq!(sched.dead_pending(), 8);
-    assert_eq!(sched.live_pending(), 4);
-    assert!(
-        !net.compact_if_due(&mut sched),
-        "dead == live × ratio exactly must not compact"
-    );
-    assert_eq!(sched.pending(), 12, "no entry may have been dropped");
-    assert_eq!(net.auto_compactions(), 0);
-    schedule_dead(&mut sched, 1);
-    assert!(
-        net.compact_if_due(&mut sched),
-        "dead == live × ratio + 1 must compact"
-    );
-    assert_eq!(net.auto_compactions(), 1);
-    assert_eq!(sched.dead_pending(), 0, "every dead entry was reclaimed");
-    assert_eq!(sched.pending(), 4, "every live entry survived");
+    let doomed = ticks(&mut sched, 15, 65);
+    for &id in &doomed[..64] {
+        sched.cancel(id);
+    }
+    assert_eq!(sched.pending(), 16);
+    assert_eq!(sched.compactions(), 0, "64 == 4 × 16 must not sweep");
+    sched.cancel(doomed[64]);
+    assert_eq!(sched.compactions(), 1, "65 > 4 × 15 must sweep");
+    assert_eq!(sched.compacted_entries(), 65);
+    assert_eq!(sched.pending(), 15);
+    let order: Vec<Ev> = std::iter::from_fn(|| sched.pop().map(|(_, e)| e)).collect();
+    assert_eq!(order, (0..15).map(Ev::Tick).collect::<Vec<_>>());
 }
 
-/// Boundary case: the `min_dead` floor gates the ratio. With a zero ratio
-/// (any dead entry outnumbers live × 0) the policy must still hold off until
-/// the heap holds `min_dead` dead entries — and fire at exactly that count.
+/// Boundary case: the floor of 64 cancelled entries gates the ratio. With
+/// four live entries the ratio holds from the 17th cancel on, but the queue
+/// is swept only at the 64th.
 #[test]
 fn compaction_min_dead_floor_is_inclusive() {
-    let mut net = Network::new(star(4), SharingMode::MaxMinFair);
-    net.set_compaction_policy(CompactionPolicy {
-        dead_per_live: 0,
-        min_dead: 4,
-    });
     let mut sched: Scheduler<Ev> = Scheduler::new();
-    schedule_dead(&mut sched, 3);
-    assert!(
-        !net.compact_if_due(&mut sched),
-        "dead == min_dead − 1 must not compact, whatever the ratio says"
+    let doomed = ticks(&mut sched, 4, 64);
+    for &id in &doomed[..63] {
+        sched.cancel(id);
+    }
+    assert_eq!(
+        sched.compactions(),
+        0,
+        "63 cancelled, whatever the ratio says"
     );
-    schedule_dead(&mut sched, 1);
-    assert!(
-        net.compact_if_due(&mut sched),
-        "dead == min_dead exactly is enough (the floor is inclusive)"
-    );
-    assert_eq!(sched.pending(), 0);
-    assert_eq!(sched.dead_pending(), 0);
+    sched.cancel(doomed[63]);
+    assert_eq!(sched.compactions(), 1, "64 cancelled is enough");
+    assert_eq!(sched.compacted_entries(), 64);
+    assert_eq!(sched.pending(), 4);
 }
 
-/// Compaction while a batched rebalance is *in flight* — its sentinel
-/// scheduled but not yet fired — must keep the sentinel (and the activated
-/// flows' state), or the whole instant's rate update would be lost.
+/// A sweep while a batched rebalance is *in flight* — its sentinel
+/// scheduled but not yet fired — keeps the survivors in their pop order,
+/// the sentinel first, so the instant's rate update still happens.
 #[test]
 fn compaction_preserves_an_in_flight_batched_rebalance() {
-    let mut world = NetWorld {
-        net: Network::new(star(8), SharingMode::MaxMinFair),
-        deliveries: vec![],
-        cold: false,
-    };
-    let mut sched: Scheduler<Ev> = Scheduler::new();
     let size = DataSize::from_bytes(1_250_000);
-    world
-        .net
-        .start_flow(&mut sched, HostId::new(1), HostId::new(0), size, 1);
-    world
-        .net
-        .start_flow(&mut sched, HostId::new(2), HostId::new(0), size, 2);
-    // Deliver exactly the two activations; the first one schedules the
-    // sentinel at the same instant, so it is now the only pending event.
-    for _ in 0..2 {
-        let (_, ev) = sched.pop().unwrap();
-        world.handle(&mut sched, ev);
-    }
-    assert_eq!(sched.pending(), 1, "only the rebalance sentinel is pending");
-    // Neither a policy-driven check nor a manual pass may touch it.
-    world.net.set_compaction_policy(CompactionPolicy {
-        dead_per_live: 0,
-        min_dead: 1,
-    });
-    assert!(
-        !world.net.compact_if_due(&mut sched),
-        "nothing is dead, so the policy must decline"
-    );
+    let drive = |ticks: bool| {
+        let mut world = world(8, false);
+        let mut sched: Scheduler<Ev> = Scheduler::new();
+        world
+            .net
+            .start_flow(&mut sched, HostId::new(1), HostId::new(0), size, 1);
+        world
+            .net
+            .start_flow(&mut sched, HostId::new(2), HostId::new(0), size, 2);
+        // Deliver exactly the two activations; the first one schedules the
+        // sentinel at the same instant, so it is now the only pending event.
+        for _ in 0..2 {
+            let (_, ev) = sched.pop().unwrap();
+            world.handle(&mut sched, ev);
+        }
+        assert_eq!(sched.pending(), 1, "only the rebalance sentinel is pending");
+        let t0 = sched.now();
+        if ticks {
+            // 100 ticks 1 ms apart from the sentinel's instant on; all but
+            // each tenth are cancelled, and the 64th cancel sweeps.
+            let ids: Vec<EventId> = (0..100u32)
+                .map(|i| sched.schedule_at(t0 + SimDuration::from_millis(i.into()), Ev::Tick(i)))
+                .collect();
+            for i in (0..100).filter(|i| i % 10 != 0) {
+                sched.cancel(ids[i]);
+            }
+            assert_eq!(sched.compactions(), 1);
+            assert_eq!(sched.pending(), 11);
+        }
+        run_world(&mut world, &mut sched, None);
+        (t0, world)
+    };
+    let (t0, swept) = drive(true);
+    assert_eq!(swept.log[2], (t0, Ev::Net(NetEvent::Rebalance)));
+    assert_eq!(swept.log[3], (t0, Ev::Tick(0)));
+    let ticks: Vec<(SimTime, Ev)> = swept
+        .log
+        .iter()
+        .copied()
+        .filter(|(_, ev)| matches!(ev, Ev::Tick(_)))
+        .collect();
+    let expected: Vec<(SimTime, Ev)> = (0..10u32)
+        .map(|k| {
+            (
+                t0 + SimDuration::from_millis((10 * k).into()),
+                Ev::Tick(10 * k),
+            )
+        })
+        .collect();
     assert_eq!(
-        world.net.compact_events(&mut sched),
-        0,
-        "a manual pass must keep the pending sentinel"
+        ticks, expected,
+        "the surviving ticks pop in their old order"
     );
-    assert_eq!(sched.pending(), 1);
-    run_world(&mut world, &mut sched, None);
+    let (_, plain) = drive(false);
+    assert_eq!(swept.deliveries.len(), 2);
     assert_eq!(
-        world.deliveries.len(),
-        2,
-        "the batched rebalance still fired and both flows completed"
+        swept.deliveries, plain.deliveries,
+        "the batched rebalance still fired and both flows completed on time"
     );
 }

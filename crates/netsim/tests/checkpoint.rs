@@ -86,7 +86,7 @@ fn run(
     while let Some((_, ev)) = sched.pop() {
         match ev {
             StreamEvent::Net(ne) => {
-                for d in net.on_event(sched, ne) {
+                if let Some(d) = net.on_event(sched, ne) {
                     out.push((d.token, sched.now().as_nanos()));
                 }
             }
@@ -274,7 +274,7 @@ fn v1_and_v2_envelopes_are_rejected_not_migrated() {
     let net = Network::new(star(3), SharingMode::MaxMinFair);
     let sched: Scheduler<StreamEvent> = Scheduler::new();
     let json = checkpoint::to_json(&net, &sched, Value::Null).unwrap();
-    assert_eq!(checkpoint::VERSION, 4, "update this test on a version bump");
+    assert_eq!(checkpoint::VERSION, 5, "update this test on a version bump");
     for old in [1u64, 2] {
         let downgraded = json.replace(
             &format!("\"version\":{}", checkpoint::VERSION),
@@ -286,7 +286,7 @@ fn v1_and_v2_envelopes_are_rejected_not_migrated() {
         };
         let msg = err.to_string();
         assert!(
-            msg.contains(&format!("version {old}")) && msg.contains("expected 4"),
+            msg.contains(&format!("version {old}")) && msg.contains("expected 5"),
             "rejection must name both versions: {msg}"
         );
     }
@@ -346,10 +346,170 @@ fn v3_envelopes_are_rejected_not_migrated() {
     };
     let msg = err.to_string();
     assert!(
-        msg.contains("version 3") && msg.contains("expected 4"),
+        msg.contains("version 3") && msg.contains("expected 5"),
         "rejection must name both versions: {msg}"
     );
     assert!(StreamSession::restore(&v).is_err());
+}
+
+/// The value at `path` inside `v`.
+fn at<'a>(v: &'a mut Value, path: &[&str]) -> &'a mut Value {
+    path.iter().fold(v, |v, key| {
+        let Value::Object(fields) = v else {
+            panic!("not an object");
+        };
+        &mut fields
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .expect("path exists")
+            .1
+    })
+}
+
+/// The encoded flows in flight of an envelope.
+fn flows(v: &mut Value) -> Vec<&mut Value> {
+    let Value::Array(slots) = at(v, &["network", "slots"]) else {
+        panic!("slots is an array");
+    };
+    slots
+        .iter_mut()
+        .map(|slot| at(slot, &["flow"]))
+        .filter(|f| **f != Value::Null)
+        .collect()
+}
+
+/// A v4-shaped envelope — version 4, with the network's `compaction` and
+/// `compactions`, the scheduler's `dead` counter, and each flow's `version`
+/// and `pending_completion` in place of `completion` — is rejected with an
+/// `Err` naming both versions, not decoded by ignoring or defaulting the
+/// fields.
+#[test]
+fn v4_envelopes_are_rejected_not_migrated() {
+    let mut v: Value = serde_json::from_str(mid_run_checkpoint()).unwrap();
+    *at(&mut v, &["version"]) = Value::UInt(4);
+    let policy = Value::Object(vec![
+        ("dead_per_live".to_owned(), Value::UInt(4)),
+        ("min_dead".to_owned(), Value::UInt(64)),
+    ]);
+    insert_at(&mut v, &["network"], "compaction", policy);
+    insert_at(&mut v, &["network"], "compactions", Value::UInt(0));
+    insert_at(&mut v, &["scheduler"], "dead", Value::UInt(0));
+    for flow in flows(&mut v) {
+        let Value::Object(fields) = flow else {
+            panic!("a flow is an object");
+        };
+        let pending = fields
+            .iter()
+            .any(|(k, c)| k == "completion" && *c != Value::Null);
+        fields.retain(|(k, _)| k != "completion");
+        fields.push(("version".to_owned(), Value::UInt(1)));
+        fields.push(("pending_completion".to_owned(), Value::Bool(pending)));
+    }
+    let text = serde_json::to_string(&v).unwrap();
+    let err = match checkpoint::from_json::<StreamEvent>(&text) {
+        Err(e) => e,
+        Ok(_) => panic!("a v4 envelope must be rejected"),
+    };
+    let msg = err.to_string();
+    assert!(
+        msg.contains("version 4") && msg.contains("expected 5"),
+        "rejection must name both versions: {msg}"
+    );
+    assert!(StreamSession::restore(&v).is_err());
+}
+
+/// A restore checks the pending completions against the flows both ways:
+/// a pending `FlowCompletion` must name a flow in flight whose stored
+/// `completion` is that entry's seq, and every stored completion must be
+/// pending. Each tampered copy of a real mid-run checkpoint is refused.
+#[test]
+fn restore_rejects_completions_that_do_not_match_the_flows() {
+    let good: Value = serde_json::from_str(mid_run_checkpoint()).unwrap();
+    assert!(checkpoint::decode::<StreamEvent>(&good).is_ok());
+    // The first pending completion: its index, seq and flow.
+    let mut probe = good.clone();
+    let Value::Array(pending) = at(&mut probe, &["scheduler", "pending"]) else {
+        panic!("pending is an array");
+    };
+    let (index, seq, flow) = pending
+        .iter()
+        .enumerate()
+        .find_map(|(i, e)| {
+            let flow = e.as_array()?[2]
+                .get("Net")?
+                .get("FlowCompletion")?
+                .get("flow")?;
+            Some((i, e.as_array()?[1].as_u64()?, flow.as_u64()?))
+        })
+        .expect("the cut has a completion pending");
+    fn completion_of(v: &mut Value, flow: u64) -> &mut Value {
+        let f = flows(v)
+            .into_iter()
+            .find(|f| f.get("id").and_then(Value::as_u64) == Some(flow))
+            .expect("the flow is in flight");
+        at(f, &["completion"])
+    }
+    assert_eq!(completion_of(&mut probe, flow).as_u64(), Some(seq));
+    let seq_counter = at(&mut probe, &["scheduler", "seq"]).as_u64().unwrap();
+
+    type Tamper = Box<dyn Fn(&mut Value)>;
+    let cases: Vec<(&str, Tamper)> = vec![
+        (
+            "the flow stores another seq",
+            Box::new(move |v| *completion_of(v, flow) = Value::UInt(seq_counter + 5)),
+        ),
+        (
+            "the flow stores none",
+            Box::new(move |v| *completion_of(v, flow) = Value::Null),
+        ),
+        (
+            "the entry is missing",
+            Box::new(move |v| {
+                let Value::Array(pending) = at(v, &["scheduler", "pending"]) else {
+                    panic!("pending is an array");
+                };
+                pending.remove(index);
+            }),
+        ),
+        (
+            "a second entry names the flow",
+            Box::new(move |v| {
+                *at(v, &["scheduler", "seq"]) = Value::UInt(seq_counter + 1);
+                let Value::Array(pending) = at(v, &["scheduler", "pending"]) else {
+                    panic!("pending is an array");
+                };
+                let mut extra = pending[index].clone();
+                let Value::Array(triple) = &mut extra else {
+                    panic!("an entry is a triple");
+                };
+                triple[1] = Value::UInt(seq_counter);
+                pending.push(extra);
+            }),
+        ),
+        (
+            "the entry names a flow not in flight",
+            Box::new(move |v| {
+                let Value::Array(pending) = at(v, &["scheduler", "pending"]) else {
+                    panic!("pending is an array");
+                };
+                let Value::Array(triple) = &mut pending[index] else {
+                    panic!("an entry is a triple");
+                };
+                *at(&mut triple[2], &["Net", "FlowCompletion", "flow"]) =
+                    Value::UInt(flow + (1 << 32));
+            }),
+        ),
+    ];
+    for (what, tamper) in cases {
+        let mut v = good.clone();
+        tamper(&mut v);
+        let err = match checkpoint::decode::<StreamEvent>(&v) {
+            Err(e) => e.to_string(),
+            Ok(_) => panic!("{what}: the checkpoint must be rejected"),
+        };
+        assert!(err.contains("completion"), "{what}: {err}");
+        assert!(StreamSession::restore(&v).is_err(), "{what}");
+    }
 }
 
 /// One arrival of a fixed workload: (src, dst, bytes, arrival µs).

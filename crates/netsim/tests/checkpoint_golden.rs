@@ -6,10 +6,13 @@
 //! mid-run with flows in flight: a max–min network with warm-start fill
 //! records present, and a `SharingMode::Bottleneck` replay of the kind the
 //! paper's predictions run. The constants are the length and FNV-1a hash
-//! of the checkpoint text of checkpoint v4. Each v4 text equals its v3
-//! predecessor with `engine_config`, `attached_flows` and the deleted
-//! `flush_stats` counters removed and the version bumped: the simulated
-//! state itself did not change.
+//! of the checkpoint text of checkpoint v5. Each v5 text equals its v4
+//! predecessor with the network's `compaction` and `compactions`, the
+//! scheduler's `dead` counter and each flow's `version` and
+//! `pending_completion` removed, each flow's `completion` seq added and
+//! the version bumped. The max–min text also lacks the 16 superseded
+//! completions v4 kept queued; the same 60 events run before the cut, and
+//! the flows and every other pending event are unchanged.
 //!
 //! A mismatch means the encoder, the JSON writer or the simulation itself
 //! changed what a checkpoint holds. If that is intended, bump
@@ -121,7 +124,7 @@ fn maxmin_checkpoint_bytes_are_pinned() {
     let envelope: Value = serde_json::from_str(&text).unwrap();
     assert!(non_null(&envelope, "slots") > 0, "flows in flight");
     assert!(non_null(&envelope, "warm_records") > 0, "warm records");
-    assert_golden(&text, 13_441, 0x0327_7081_16dc_433f);
+    assert_golden(&text, 11_662, 0x73fd_3669_7138_a715);
 
     let restored = checkpoint::from_json::<StreamEvent>(&text).unwrap();
     let again = checkpoint::to_json(&restored.network, &restored.scheduler, restored.world);
@@ -172,7 +175,7 @@ fn bottleneck_replay_checkpoint_bytes_are_pinned() {
     let text = serde_json::to_string(&session.checkpoint()).unwrap();
     let envelope: Value = serde_json::from_str(&text).unwrap();
     assert!(non_null(&envelope, "slots") > 0, "messages in flight");
-    assert_golden(&text, 7_282, 0x2e69_e799_34d0_60ef);
+    assert_golden(&text, 7_105, 0x242e_f9f2_2a79_babf);
 
     let restored = ReplaySession::restore(&envelope).unwrap();
     let again = serde_json::to_string(&restored.checkpoint()).unwrap();

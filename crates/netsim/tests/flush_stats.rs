@@ -12,7 +12,7 @@
 //! flush spans.
 
 use netsim::event::{run_world, Scheduler, World};
-use netsim::network::{FlowDelivery, FlushStats, NetEvent, NetWorldEvent, Network, SharingMode};
+use netsim::network::{FlowDelivery, FlushStats, NetEvent, Network, SharingMode};
 use netsim::platform::{HostSpec, LinkSpec, Platform, PlatformBuilder};
 use netsim::StreamSession;
 use p2p_common::{Bandwidth, DataSize, HostId, SimDuration, SimTime};
@@ -25,12 +25,6 @@ enum Ev {
 impl From<NetEvent> for Ev {
     fn from(e: NetEvent) -> Self {
         Ev::Net(e)
-    }
-}
-impl NetWorldEvent for Ev {
-    fn as_net_event(&self) -> Option<NetEvent> {
-        let Ev::Net(e) = self;
-        Some(*e)
     }
 }
 
@@ -48,7 +42,7 @@ impl World for NetWorld {
             self.net.invalidate_fill_records();
         }
         let now = sched.now();
-        for d in self.net.on_event(sched, ne) {
+        if let Some(d) = self.net.on_event(sched, ne) {
             self.deliveries.push((now, d));
         }
     }

@@ -37,9 +37,9 @@
 //! The property names predate the single engine and are pinned: the
 //! regression corpus and the deterministic per-test RNG key hang on them.
 
-use netsim::baseline::BaselineNetwork;
+use netsim::baseline::{BaselineEvent, BaselineNetwork};
 use netsim::event::{run_world, Scheduler, World};
-use netsim::network::{FlowDelivery, NetEvent, NetWorldEvent, Network, SharingMode};
+use netsim::network::{FlowDelivery, NetEvent, Network, SharingMode};
 use netsim::platform::{HostSpec, LinkSpec, Platform, PlatformBuilder};
 use p2p_common::{Bandwidth, DataSize, HostId, SimDuration, SimTime};
 use proptest::prelude::*;
@@ -95,12 +95,6 @@ impl From<NetEvent> for Ev {
         Ev::Net(e)
     }
 }
-impl NetWorldEvent for Ev {
-    fn as_net_event(&self) -> Option<NetEvent> {
-        let Ev::Net(e) = self;
-        Some(*e)
-    }
-}
 
 struct NewWorld {
     net: Network,
@@ -117,7 +111,7 @@ impl World for NewWorld {
             self.net.invalidate_fill_records();
         }
         let now = sched.now();
-        for d in self.net.on_event(sched, ne) {
+        if let Some(d) = self.net.on_event(sched, ne) {
             self.deliveries.push((now, d));
         }
     }
@@ -128,11 +122,10 @@ struct OldWorld {
     deliveries: Vec<(SimTime, FlowDelivery)>,
 }
 impl World for OldWorld {
-    type Event = Ev;
-    fn handle(&mut self, sched: &mut Scheduler<Ev>, ev: Ev) {
-        let Ev::Net(ne) = ev;
+    type Event = BaselineEvent;
+    fn handle(&mut self, sched: &mut Scheduler<BaselineEvent>, ev: BaselineEvent) {
         let now = sched.now();
-        for d in self.net.on_event(sched, ne) {
+        for d in self.net.on_event(sched, ev) {
             self.deliveries.push((now, d));
         }
     }
@@ -201,7 +194,7 @@ fn run_baseline(platform: Platform, flows: &[(HostId, HostId, DataSize, u64)]) -
         net: BaselineNetwork::new(platform, SharingMode::MaxMinFair),
         deliveries: vec![],
     };
-    let mut sched: Scheduler<Ev> = Scheduler::new();
+    let mut sched: Scheduler<BaselineEvent> = Scheduler::new();
     for &(src, dst, size, token) in flows {
         world.net.start_flow(&mut sched, src, dst, size, token);
     }
@@ -349,7 +342,8 @@ proptest! {
     }
 
     /// Bottleneck mode is trivially identical between the two engines (same
-    /// analytic formula), and no longer pollutes the heap with versions.
+    /// analytic formula), and schedules one completion per flow that
+    /// nothing cancels.
     #[test]
     fn bottleneck_mode_matches_seed_engine(
         raw in prop::collection::vec((any::<u32>(), any::<u32>(), any::<u64>()), 1..30),
@@ -366,13 +360,17 @@ proptest! {
             new_world.net.start_flow(&mut sched, src, dst, size, token);
         }
         run_world(&mut new_world, &mut sched, None);
-        prop_assert_eq!(sched.dead_pending(), 0, "bottleneck flows never go stale");
+        prop_assert_eq!(
+            sched.delivered(),
+            flows.len() as u64,
+            "one completion per flow, never cancelled"
+        );
 
         let mut old_world = OldWorld {
             net: BaselineNetwork::new(star(n_hosts), SharingMode::Bottleneck),
             deliveries: vec![],
         };
-        let mut old_sched: Scheduler<Ev> = Scheduler::new();
+        let mut old_sched: Scheduler<BaselineEvent> = Scheduler::new();
         for &(src, dst, size, token) in &flows {
             old_world.net.start_flow(&mut old_sched, src, dst, size, token);
         }

@@ -20,8 +20,8 @@
 //!   determinism proof for the scale layer.
 
 use netsim::{
-    isp_hierarchy, FlowDelivery, HostSpec, IspHierarchyParams, NetEvent, NetWorldEvent, Network,
-    PlacementPolicy, Scheduler, SharingMode, Topology,
+    isp_hierarchy, FlowDelivery, HostSpec, IspHierarchyParams, NetEvent, Network, PlacementPolicy,
+    Scheduler, SharingMode, Topology,
 };
 use p2p_common::{DataSize, SimTime};
 use proptest::prelude::*;
@@ -41,12 +41,6 @@ enum Ev {
 impl From<NetEvent> for Ev {
     fn from(e: NetEvent) -> Self {
         Ev::Net(e)
-    }
-}
-impl NetWorldEvent for Ev {
-    fn as_net_event(&self) -> Option<NetEvent> {
-        let Ev::Net(e) = self;
-        Some(*e)
     }
 }
 
@@ -166,7 +160,7 @@ fn run_hierarchy_workload(topo: &Topology, cold: bool) -> (Vec<(SimTime, u64)>, 
         if cold {
             net.invalidate_fill_records();
         }
-        for d in net.on_event(&mut sched, ne) {
+        if let Some(d) = net.on_event(&mut sched, ne) {
             let FlowDelivery { token, .. } = d;
             deliveries.push((at, token));
         }

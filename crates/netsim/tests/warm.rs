@@ -36,7 +36,7 @@
 //! `tests/regressions/warm__<test>.txt` and replay before fresh cases.
 
 use netsim::event::{run_world, Scheduler, World};
-use netsim::network::{FlowDelivery, NetEvent, NetWorldEvent, Network, SharingMode};
+use netsim::network::{FlowDelivery, NetEvent, Network, SharingMode};
 use netsim::platform::{HostSpec, LinkSpec, Platform, PlatformBuilder};
 use p2p_common::{Bandwidth, DataSize, FlowId, HostId, SimDuration, SimTime};
 use proptest::prelude::*;
@@ -123,12 +123,6 @@ impl From<NetEvent> for Ev {
         Ev::Net(e)
     }
 }
-impl NetWorldEvent for Ev {
-    fn as_net_event(&self) -> Option<NetEvent> {
-        let Ev::Net(e) = self;
-        Some(*e)
-    }
-}
 
 struct NewWorld {
     net: Network,
@@ -145,7 +139,7 @@ impl World for NewWorld {
             self.net.invalidate_fill_records();
         }
         let now = sched.now();
-        for d in self.net.on_event(sched, ne) {
+        if let Some(d) = self.net.on_event(sched, ne) {
             self.deliveries.push((now, d));
         }
     }

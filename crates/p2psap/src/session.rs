@@ -704,7 +704,7 @@ mod tests {
 
     #[test]
     fn relayed_sends_drive_one_netsim_flow_per_leg() {
-        use netsim::{run_world, NetEvent, NetWorldEvent, Network, Scheduler, SharingMode, World};
+        use netsim::{run_world, NetEvent, Network, Scheduler, SharingMode, World};
         use p2p_common::DataSize;
 
         let mut topo = daisy_xdsl(8, HostSpec::default(), 3);
@@ -728,11 +728,6 @@ mod tests {
                 Ev(e)
             }
         }
-        impl NetWorldEvent for Ev {
-            fn as_net_event(&self) -> Option<NetEvent> {
-                Some(self.0)
-            }
-        }
         struct Sim {
             net: Network,
             delivered: Vec<(HostId, HostId, u64)>,
@@ -740,7 +735,7 @@ mod tests {
         impl World for Sim {
             type Event = Ev;
             fn handle(&mut self, sched: &mut Scheduler<Ev>, ev: Ev) {
-                for d in self.net.on_event(sched, ev.0) {
+                if let Some(d) = self.net.on_event(sched, ev.0) {
                     self.delivered.push((d.src, d.dst, d.size.bytes()));
                 }
             }

@@ -44,15 +44,6 @@ impl From<NetEvent> for Ev {
     }
 }
 
-impl netsim::network::NetWorldEvent for Ev {
-    fn as_net_event(&self) -> Option<NetEvent> {
-        match self {
-            Ev::Net(e) => Some(*e),
-            _ => None,
-        }
-    }
-}
-
 /// Everything beyond the network that the scenario checkpoints: the traffic
 /// RNG, the fault script and its delivery cursor, and which hosts are dead.
 #[derive(Serialize, Deserialize)]
@@ -159,7 +150,7 @@ impl Scenario {
         match ev {
             Ev::Net(ne) => {
                 let now = self.sched.now();
-                for d in self.net.on_event(&mut self.sched, ne) {
+                if let Some(d) = self.net.on_event(&mut self.sched, ne) {
                     self.deliveries.push((d.token, now.as_nanos()));
                 }
             }
