@@ -190,6 +190,31 @@ fn cancelled_completions_never_pop_count_or_enter_a_checkpoint() {
     assert_eq!(sched.delivered(), world.log.len() as u64);
 }
 
+/// The churn cancels completions faster than they drain, so the scheduler
+/// sweeps on its own, with no call from the network: every pass reclaims
+/// at least the 64-entry floor, and the drained queue ends empty with every
+/// flow delivered.
+#[test]
+fn auto_compaction_triggers_and_restores_the_ratio() {
+    let (mut world, mut sched) = start(false);
+    let mut passes = 0;
+    while let Some((_, ev)) = sched.pop() {
+        let before = (sched.compactions(), sched.compacted_entries());
+        world.handle(&mut sched, ev);
+        let new = sched.compactions() - before.0;
+        assert!(
+            sched.compacted_entries() - before.1 >= 64 * new,
+            "a pass reclaims at least the floor"
+        );
+        passes += new;
+    }
+    assert_eq!(world.deliveries.len(), 400);
+    assert!(passes > 0, "the churn must cross the sweep rule");
+    assert_eq!(sched.compactions(), passes);
+    assert!(sched.compacted_entries() >= 64 * sched.compactions());
+    assert_eq!(sched.pending(), 0);
+}
+
 /// Schedule `live` ticks at 1 s and `doomed` ticks at 2 s, returning the
 /// ids of the doomed ones. Nothing doomed sits at the queue's head, so
 /// cancelling it leaves it in the queue until a sweep.
@@ -241,6 +266,32 @@ fn compaction_min_dead_floor_is_inclusive() {
     assert_eq!(sched.compactions(), 1, "64 cancelled is enough");
     assert_eq!(sched.compacted_entries(), 64);
     assert_eq!(sched.pending(), 4);
+}
+
+/// A sweep takes every cancelled entry out, not just enough to fall under
+/// the rule: after the first pass it takes another full 64 cancels to
+/// trigger the next one, and the live entries survive both.
+#[test]
+fn compaction_pass_drops_dead_below_the_threshold() {
+    let mut sched: Scheduler<Ev> = Scheduler::new();
+    for &id in &ticks(&mut sched, 4, 64) {
+        sched.cancel(id);
+    }
+    assert_eq!(sched.compactions(), 1);
+    assert_eq!(sched.compacted_entries(), 64);
+    let doomed: Vec<EventId> = (0..64)
+        .map(|i| sched.schedule_at(SimTime::from_secs(3), Ev::Tick(100 + i)))
+        .collect();
+    for &id in &doomed[..63] {
+        sched.cancel(id);
+    }
+    assert_eq!(sched.compactions(), 1, "the pass left no cancelled entry");
+    sched.cancel(doomed[63]);
+    assert_eq!(sched.compactions(), 2);
+    assert_eq!(sched.compacted_entries(), 128);
+    assert_eq!(sched.pending(), 4);
+    let order: Vec<Ev> = std::iter::from_fn(|| sched.pop().map(|(_, e)| e)).collect();
+    assert_eq!(order, (0..4).map(Ev::Tick).collect::<Vec<_>>());
 }
 
 /// A sweep while a batched rebalance is *in flight* — its sentinel
